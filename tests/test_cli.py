@@ -78,6 +78,33 @@ class TestGoldenOutputs:
         result = run_cli("verify", "--config", str(EXAMPLE_2), "--market", "naive")
         assert_matches_golden(result, "verify_example2_naive.json")
 
+    def test_accuracy_example2_kelly_csv(self):
+        result = run_cli(
+            "accuracy", "--config", str(EXAMPLE_2), "--market", "kelly", "--format", "csv"
+        )
+        assert_matches_golden(result, "accuracy_example2_kelly.csv")
+
+    def test_accuracy_example2_taxed_k10_csv(self):
+        result = run_cli(
+            "accuracy", "--config", str(EXAMPLE_2), "--market", "taxed_finite",
+            "--k", "10", "--format", "csv",
+        )
+        assert_matches_golden(result, "accuracy_example2_taxed_k10.csv")
+
+    def test_accuracy_example2_naive_monte_carlo_csv(self):
+        result = run_cli(
+            "accuracy", "--config", str(EXAMPLE_2), "--market", "naive",
+            "--trials", "3000", "--seed", "11", "--format", "csv",
+        )
+        assert_matches_golden(result, "accuracy_example2_naive_mc.csv")
+
+    def test_check_equivalence_example1_exhaustive_csv(self):
+        result = run_cli(
+            "check-equivalence", "--config", str(EXAMPLE_1), "--exhaustive",
+            "--format", "csv",
+        )
+        assert_matches_golden(result, "check_equivalence_example1_exhaustive.csv")
+
 
 class TestDeterminism:
     def test_sweep_k_reruns_byte_identical(self):
