@@ -7,11 +7,15 @@ separately.  Signals are conditionally independent given the state, each
 agent matching it with her competence, and the two states are equally
 likely a priori.
 
-Exact values enumerate the full signal space (2^n profiles per state,
-capped at n = 12); larger juries are estimated by seeded Monte Carlo with
-counter-based substreams, so results are reproducible and independent of
-batching.  verify_optimal_weights confronts the log-odds weighting with
-rival weight vectors on exact accuracies.
+Every aggregator is a batch rule: it decides a boolean signal matrix, one
+row per profile, in one call.  Weighted majorities score the whole matrix
+with one matmul; markets are solved row by row by their scalar solvers.
+Exact values decide the full signal space once (2^n profiles, capped at
+n = 12) and score both states from that one decision vector; larger juries
+are estimated by seeded Monte Carlo, which decides each sampled batch the
+same way, with counter-based substreams, so results are reproducible and
+independent of batching.  verify_optimal_weights confronts the log-odds
+weighting with rival weight vectors on exact accuracies.
 """
 
 from __future__ import annotations
@@ -22,30 +26,17 @@ from typing import Callable
 
 import numpy as np
 
-from .equivalence import TIE_TOLERANCE, decision_from_offset
-from .markets import (
-    MarketKind,
-    kelly_equilibrium,
-    naive_equilibrium,
-    taxed_equilibrium_asymptotic,
-    taxed_equilibrium_finite,
-)
+from .equivalence import WEIGHT_SCHEMES, decisions_from_offsets
+from .markets import MarketKind, _check_k, solve_market
 from .model import (
     STATE_A,
     STATE_B,
     BeliefProfile,
     CompetenceProfile,
-    Decision,
-    enumerate_signal_space,
+    profile_probabilities,
+    signal_matrix,
 )
-from .voting import (
-    WeightProfile,
-    votes_from_beliefs,
-    weighted_margin,
-    weights_egalitarian,
-    weights_linear,
-    weights_log_odds,
-)
+from .voting import WeightProfile
 
 EXACT_MAX_AGENTS = 12
 VERIFY_MAX_AGENTS = 10
@@ -55,25 +46,18 @@ MONTE_CARLO_BATCH = 65_536
 # with exact summation before the tie band is applied.
 MARGIN_RESCUE_BOUND = 1e-9
 
-WEIGHT_SCHEMES: dict[str, Callable[[CompetenceProfile], WeightProfile]] = {
-    "egalitarian": lambda q: weights_egalitarian(q.n),
-    "linear": weights_linear,
-    "log_odds": weights_log_odds,
-}
-
 
 @dataclass(frozen=True)
 class Aggregator:
-    """A named decision procedure mapping (competences, signals) to a Decision.
+    """A named batch decision rule over signal profiles.
 
-    ``weights_fn`` is set for weighted-majority rules; it unlocks the
-    vectorised Monte Carlo path, while ``decide`` remains the single source
-    of truth for exact enumeration.
+    ``decide(q, signals)`` maps competences and a boolean signal matrix (one
+    row per profile, True for an A signal) to an int8 decision vector: +1
+    for A, -1 for B, 0 for a tie.
     """
 
     name: str
-    decide: Callable[[CompetenceProfile, tuple[str, ...]], Decision]
-    weights_fn: Callable[[CompetenceProfile], WeightProfile] | None = None
+    decide: Callable[[CompetenceProfile, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -95,95 +79,90 @@ class AccuracyEstimate:
             raise ValueError(f"tie_mass {self.tie_mass!r} outside [0, 1]")
 
 
-def _beliefs_for(q: CompetenceProfile, y: tuple[str, ...]) -> BeliefProfile:
-    return BeliefProfile(tuple(qi if yi == STATE_A else 1.0 - qi for qi, yi in zip(q.q, y)))
+def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarray:
+    """Weighted-majority decisions for every row of a signal matrix.
+
+    A-signal agents vote A.  Margins come from one matmul; rows within
+    MARGIN_RESCUE_BOUND of zero are recomputed with exact summation, the
+    same fsum weighted_margin uses, before the shared tie band is applied.
+    """
+    w = np.array(weights.w, dtype=float)
+    half_total = 0.5 * fsum(weights.w)
+    margins = signals.astype(float) @ w - half_total
+    for row in np.flatnonzero(np.abs(margins) < MARGIN_RESCUE_BOUND):
+        margins[row] = fsum(w[signals[row]].tolist()) - half_total
+    return decisions_from_offsets(margins)
 
 
 def majority_aggregator(scheme: str) -> Aggregator:
     """Weighted-majority rule under a named weight scheme.
 
-    Margins within the shared tie tolerance of zero are read as ties, the
-    same convention the equivalence checks use.
+    Weights are computed once per decide call.  Margins within the shared
+    tie tolerance of zero are read as ties, the same convention the
+    equivalence checks use.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(
             f"unknown weight scheme {scheme!r}; expected one of {sorted(WEIGHT_SCHEMES)}"
         )
     weights_fn = WEIGHT_SCHEMES[scheme]
-
-    def decide(q: CompetenceProfile, y: tuple[str, ...]) -> Decision:
-        votes = votes_from_beliefs(_beliefs_for(q, y))
-        return decision_from_offset(weighted_margin(votes, weights_fn(q)))
-
-    return Aggregator(name=f"majority_{scheme}", decide=decide, weights_fn=weights_fn)
+    return Aggregator(
+        name=f"majority_{scheme}",
+        decide=lambda q, signals: _majority_decisions(signals, weights_fn(q)),
+    )
 
 
 def fixed_weights_aggregator(name: str, weights: WeightProfile) -> Aggregator:
     """Weighted-majority rule under an explicit weight vector."""
-
-    def decide(q: CompetenceProfile, y: tuple[str, ...]) -> Decision:
-        votes = votes_from_beliefs(_beliefs_for(q, y))
-        return decision_from_offset(weighted_margin(votes, weights))
-
-    return Aggregator(name=name, decide=decide, weights_fn=lambda q: weights)
+    return Aggregator(name=name, decide=lambda q, signals: _majority_decisions(signals, weights))
 
 
 def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
-    """Market-as-aggregator: solve for the clearing price and binarise it.
+    """Market-as-aggregator: solve each profile's market and binarise its price.
 
-    The asymptotic taxed market is binarised on the price's log-odds (its
-    natural scale); the others on price - 1/2, all with the shared tie
-    tolerance.
+    Each row is solved by the kind's scalar solver and decided on
+    solve_market's offset with the shared tie tolerance.
     """
-    if kind is MarketKind.TAXED_FINITE and (k is None or k <= 0.0):
-        raise ValueError(f"finite taxed market needs a positive k, got {k!r}")
+    if kind is MarketKind.TAXED_FINITE:
+        _check_k(k)
 
-    def decide(q: CompetenceProfile, y: tuple[str, ...]) -> Decision:
-        beliefs = _beliefs_for(q, y)
-        if kind is MarketKind.NAIVE:
-            offset = naive_equilibrium(beliefs).price - 0.5
-        elif kind is MarketKind.KELLY:
-            offset = kelly_equilibrium(beliefs).price - 0.5
-        elif kind is MarketKind.TAXED_ASYMPTOTIC:
-            price = taxed_equilibrium_asymptotic(beliefs)
-            offset = float(np.log(price / (1.0 - price)))
-        else:
-            offset = taxed_equilibrium_finite(beliefs, k).price - 0.5
-        return decision_from_offset(offset)
+    def decide(q: CompetenceProfile, signals: np.ndarray) -> np.ndarray:
+        against = [1.0 - qi for qi in q.q]
+        offsets = [
+            solve_market(
+                BeliefProfile(tuple(a if s else b for s, a, b in zip(row, q.q, against))),
+                kind,
+                k,
+            )[1]
+            for row in signals.tolist()
+        ]
+        return decisions_from_offsets(np.array(offsets, dtype=float))
 
     name = f"market_{kind.value}" + (f"_k={k:g}" if kind is MarketKind.TAXED_FINITE else "")
     return Aggregator(name=name, decide=decide)
 
 
-def _scored_mass(
-    agg: Aggregator, q: CompetenceProfile, state: str
-) -> tuple[float, float]:
-    """(accuracy, tie mass) conditioned on one state, by full enumeration."""
-    hits: list[float] = []
-    ties: list[float] = []
-    for signals, prob in enumerate_signal_space(q, state):
-        decision = agg.decide(q, signals.y)
-        if decision is Decision.TIE:
-            ties.append(prob)
-            hits.append(0.5 * prob)
-        elif decision.value == state:
-            hits.append(prob)
-    return fsum(hits), fsum(ties)
-
-
 def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:
     """Group accuracy by exhaustive enumeration of the signal space.
 
-    The two state-conditional accuracies are equal by the model's
-    flip-symmetry; this is asserted to 1e-12 as an internal consistency
-    check before they are averaged.
+    Every profile is decided once and both states are scored from that one
+    decision vector.  The two state-conditional accuracies are equal by the
+    model's flip-symmetry; this is asserted to 1e-12 as an internal
+    consistency check before they are averaged.
     """
     if q.n > EXACT_MAX_AGENTS:
         raise ValueError(
             f"exact accuracy supports up to {EXACT_MAX_AGENTS} agents, got {q.n}"
         )
-    q_a, ties_a = _scored_mass(agg, q, STATE_A)
-    q_b, ties_b = _scored_mass(agg, q, STATE_B)
+    signals = signal_matrix(q.n)
+    decisions = agg.decide(q, signals)
+    masses = []
+    for state, right in ((STATE_A, 1), (STATE_B, -1)):
+        probs = profile_probabilities(q, signals, state)
+        ties = probs[decisions == 0]
+        hits = np.concatenate((probs[decisions == right], 0.5 * ties))
+        masses.append((fsum(hits.tolist()), fsum(ties.tolist())))
+    (q_a, ties_a), (q_b, ties_b) = masses
     if abs(q_a - q_b) > 1e-12:
         raise AssertionError(
             f"state-conditional accuracies diverge: A-side {q_a!r}, B-side {q_b!r}"
@@ -201,33 +180,18 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64)))
 
 
-def _sample_votes(
+def _sample_signals(
     rng: np.random.Generator, q_vec: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (states, A-votes) for one batch.
+    """Sample (states, signals) for one batch.
 
-    states is a boolean vector (True = state A); votes is a boolean matrix
-    (True = the agent's belief favours A, i.e. her signal was A).
+    states is a boolean vector (True = state A); signals is a boolean matrix
+    (True = the agent's signal, and so her belief, favours A).
     """
     states = rng.random(size) < 0.5
     matches = rng.random((size, q_vec.size)) < q_vec
-    votes_a = np.where(states[:, None], matches, ~matches)
-    return states, votes_a
-
-
-def _count_scores_weights(
-    votes_a: np.ndarray, states: np.ndarray, w: np.ndarray, half_total: float
-) -> tuple[int, int]:
-    """(correct count, tie count) for one batch of a weighted-majority rule."""
-    margins = votes_a.astype(float) @ w - half_total
-    suspect = np.flatnonzero(np.abs(margins) < MARGIN_RESCUE_BOUND)
-    for row in suspect:
-        picked = [wi for wi, v in zip(w, votes_a[row]) if v]
-        margins[row] = fsum(picked) - half_total
-    ties = np.abs(margins) <= TIE_TOLERANCE
-    decide_a = margins > TIE_TOLERANCE
-    correct = ~ties & (decide_a == states)
-    return int(np.count_nonzero(correct)), int(np.count_nonzero(ties))
+    signals = np.where(states[:, None], matches, ~matches)
+    return states, signals
 
 
 def monte_carlo_accuracy(
@@ -235,41 +199,27 @@ def monte_carlo_accuracy(
 ) -> AccuracyEstimate:
     """Group accuracy by seeded simulation.
 
-    The state is drawn fair, signals per competence, and the aggregator is
-    scored as in exact_accuracy.  Batches use counter-based substreams
-    keyed by (seed, batch index), so the estimate is byte-identical however
-    the batches are scheduled.  Weighted-majority aggregators run fully
-    vectorised; others fall back to calling decide per trial.
+    The state is drawn fair, signals per competence, and each batch of
+    sampled profiles is decided in one decide call and scored as in
+    exact_accuracy; markets are solved per row inside that call.  Batches
+    use counter-based substreams keyed by (seed, batch index), so the
+    estimate is byte-identical however the batches are scheduled.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed!r} must fit in an unsigned 64-bit integer")
     q_vec = np.array(q.q, dtype=float)
-    weights = agg.weights_fn(q) if agg.weights_fn is not None else None
-    if weights is not None:
-        w = np.array(weights.w, dtype=float)
-        half_total = 0.5 * fsum(weights.w)
 
     n_correct = 0
     n_tie = 0
     done = 0
     for batch_index in range(-(-trials // MONTE_CARLO_BATCH)):
         size = min(MONTE_CARLO_BATCH, trials - done)
-        rng = _batch_generator(seed, batch_index)
-        states, votes_a = _sample_votes(rng, q_vec, size)
-        if weights is not None:
-            c, t = _count_scores_weights(votes_a, states, w, half_total)
-            n_correct += c
-            n_tie += t
-        else:
-            for row in range(size):
-                y = tuple(STATE_A if v else STATE_B for v in votes_a[row])
-                decision = agg.decide(q, y)
-                if decision is Decision.TIE:
-                    n_tie += 1
-                elif (decision is Decision.A) == bool(states[row]):
-                    n_correct += 1
+        states, signals = _sample_signals(_batch_generator(seed, batch_index), q_vec, size)
+        decisions = agg.decide(q, signals)
+        n_correct += int(np.count_nonzero(decisions == np.where(states, 1, -1)))
+        n_tie += int(np.count_nonzero(decisions == 0))
         done += size
 
     value = (n_correct + 0.5 * n_tie) / trials

@@ -28,8 +28,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from itertools import product
-from math import log
+from math import inf, log
 
 from .accuracy import (
     EXACT_MAX_AGENTS,
@@ -40,7 +39,7 @@ from .accuracy import (
     monte_carlo_accuracy,
 )
 from .equivalence import (
-    ALL_SCHEMES,
+    WEIGHT_SCHEMES,
     EquivalenceReport,
     check_all_schemes,
     decision_from_offset,
@@ -49,8 +48,7 @@ from .markets import (
     BracketingError,
     MarketKind,
     UndefinedPriceError,
-    kelly_equilibrium,
-    naive_equilibrium,
+    solve_market,
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
 )
@@ -61,15 +59,10 @@ from .model import (
     CompetenceProfile,
     SignalProfile,
     beliefs_from_signals,
+    enumerate_signal_space,
 )
-from .oracle import GRID_ORACLE_MAX_AGENTS, GridSpec, grid_equilibrium_search
-from .voting import (
-    votes_from_beliefs,
-    weighted_margin,
-    weights_egalitarian,
-    weights_linear,
-    weights_log_odds,
-)
+from .oracle import GRID_ORACLE_MAX_AGENTS, grid_equilibrium_search
+from .voting import votes_from_beliefs, weighted_margin, weights_egalitarian
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,7 +70,6 @@ EXIT_SOLVER = 2
 EXIT_EQUIVALENCE = 3
 
 MARKET_KINDS = tuple(kind.value for kind in MarketKind)
-WEIGHT_SCHEME_NAMES = ("egalitarian", "linear", "log_odds")
 DEFAULT_K_SWEEP = (0.1, 0.2, 1.0, 2.0, 10.0, 20.0)
 
 SWEEP_COLUMNS = (
@@ -217,8 +209,8 @@ def parse_config(
 
     k = pick("k")
     if k is not None:
-        if not isinstance(k, (int, float)) or not k > 0.0:
-            raise ConfigError(f"k={k!r} must be positive")
+        if not isinstance(k, (int, float)) or isinstance(k, bool) or not 0.0 < k < inf:
+            raise ConfigError(f"k={k!r} must be a finite positive number")
         k = float(k)
         if market is not None and market != MarketKind.TAXED_FINITE.value:
             raise ConfigError(
@@ -226,9 +218,9 @@ def parse_config(
             )
 
     weights = pick("weights")
-    if weights is not None and weights not in WEIGHT_SCHEME_NAMES:
+    if weights is not None and weights not in WEIGHT_SCHEMES:
         raise ConfigError(
-            f"weights={weights!r} must be one of {', '.join(WEIGHT_SCHEME_NAMES)}"
+            f"weights={weights!r} must be one of {', '.join(WEIGHT_SCHEMES)}"
         )
 
     seed = pick("seed", 0)
@@ -344,37 +336,19 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _decision_for_price(kind: MarketKind, price: float):
-    if kind is MarketKind.TAXED_ASYMPTOTIC:
-        return decision_from_offset(log(price / (1.0 - price)))
-    return decision_from_offset(price - 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def _solve_market(beliefs: BeliefProfile, kind: MarketKind, k: float | None):
-    if kind is MarketKind.NAIVE:
-        return naive_equilibrium(beliefs)
-    if kind is MarketKind.KELLY:
-        return kelly_equilibrium(beliefs)
-    if kind is MarketKind.TAXED_FINITE:
-        return taxed_equilibrium_finite(beliefs, k)
-    return None  # taxed_asymptotic: price only, no finite stakes
 
 
 def cmd_solve(cfg: ExperimentConfig) -> tuple[int, str]:
     beliefs = _config_beliefs(cfg)
     kind = _require_market(cfg, "solve")
     k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-    result = _solve_market(beliefs, kind, k)
-    if result is None:
-        price = taxed_equilibrium_asymptotic(beliefs)
+    price, offset, result = solve_market(beliefs, kind, k)
+    if result is None:  # taxed_asymptotic: price only, no finite stakes
         legs = [(None, 0.0, 0.0, 0.0)] * beliefs.n
         residual, iterations, degenerate = 0.0, 0, False
     else:
-        price = result.price
         legs = []
         for sa, sb in zip(result.profile.sA, result.profile.sB):
             side = "A" if sa > 0.0 else "B" if sb > 0.0 else None
@@ -382,7 +356,7 @@ def cmd_solve(cfg: ExperimentConfig) -> tuple[int, str]:
         residual = result.diagnostics.residual
         iterations = result.diagnostics.iterations
         degenerate = result.diagnostics.degenerate
-    decision = _decision_for_price(kind, price)
+    decision = decision_from_offset(offset)
 
     agents = [
         {"agent": i, "belief": b, "side": side, "fraction": frac, "sA": sa, "sB": sb}
@@ -418,11 +392,10 @@ def cmd_solve(cfg: ExperimentConfig) -> tuple[int, str]:
 def cmd_vote(cfg: ExperimentConfig) -> tuple[int, str]:
     scheme = cfg.weights or "egalitarian"
     beliefs = _config_beliefs(cfg)
-    if scheme == "egalitarian":
+    if scheme == "egalitarian":  # the one scheme belief agents can vote under
         weights = weights_egalitarian(beliefs.n)
     else:
-        q = _require_competences(cfg, f"weights={scheme}")
-        weights = weights_linear(q) if scheme == "linear" else weights_log_odds(q)
+        weights = WEIGHT_SCHEMES[scheme](_require_competences(cfg, f"weights={scheme}"))
     votes = votes_from_beliefs(beliefs)
     margin = weighted_margin(votes, weights)
     decision = decision_from_offset(margin)
@@ -461,17 +434,15 @@ def _report_record(report: EquivalenceReport, signals: tuple[str, ...]) -> dict:
 def cmd_check_equivalence(cfg: ExperimentConfig, exhaustive: bool) -> tuple[int, str]:
     q = _require_competences(cfg, "check-equivalence")
     if exhaustive:
-        signal_sets = [
-            tuple(y) for y in product((STATE_A, STATE_B), repeat=q.n)
-        ]
+        signal_sets = [y for y, _ in enumerate_signal_space(q, STATE_A)]
     else:
-        signal_sets = [_require_signals(cfg, "check-equivalence without --exhaustive").y]
+        signal_sets = [_require_signals(cfg, "check-equivalence without --exhaustive")]
 
     records = []
     violations = 0
     for signals in signal_sets:
-        for report in check_all_schemes(q, SignalProfile(signals), cfg.k):
-            records.append(_report_record(report, signals))
+        for report in check_all_schemes(q, signals, cfg.k):
+            records.append(_report_record(report, signals.y))
             if report.guaranteed and not report.agree:
                 violations += 1
 
@@ -493,7 +464,7 @@ def cmd_check_equivalence(cfg: ExperimentConfig, exhaustive: bool) -> tuple[int,
 
 
 def _accuracy_aggregators(cfg: ExperimentConfig) -> list[Aggregator]:
-    schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEME_NAMES)
+    schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEMES)
     aggregators = [majority_aggregator(s) for s in schemes]
     if cfg.market is not None:
         kind = MarketKind(cfg.market)
@@ -547,8 +518,8 @@ def _parse_k_list(text: str | None) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"--k-list {text!r} is not a comma-separated list of reals") from exc
-    if not values or any(v <= 0.0 for v in values):
-        raise ConfigError(f"--k-list {text!r} must contain positive reals")
+    if not values or any(not 0.0 < v < inf for v in values):
+        raise ConfigError(f"--k-list {text!r} must contain finite positive reals")
     return values
 
 
@@ -609,7 +580,7 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, str]:
                 "use market=taxed_finite with a k"
             )
         k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-        result = _solve_market(beliefs, kind, k)
+        _, _, result = solve_market(beliefs, kind, k)
         intervals = grid_equilibrium_search(beliefs, kind, k)
         contained = any(lo <= result.price <= hi for lo, hi in intervals)
         unique = len(intervals) == 1 if kind is MarketKind.NAIVE else None
@@ -666,7 +637,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--market", choices=MARKET_KINDS, help="override the config's market")
     parser.add_argument(
-        "--weights", choices=WEIGHT_SCHEME_NAMES, help="override the config's weight scheme"
+        "--weights", choices=tuple(WEIGHT_SCHEMES), help="override the config's weight scheme"
     )
     parser.add_argument("--k", type=float, help="tax intensity (taxed_finite only)")
     parser.add_argument("--trials", type=int, help="Monte Carlo trial count")

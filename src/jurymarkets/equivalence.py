@@ -19,16 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import log
+from typing import Callable
 
-from .markets import (
-    kelly_equilibrium,
-    naive_equilibrium,
-    taxed_equilibrium_asymptotic,
-    taxed_equilibrium_finite,
-)
-from .model import BeliefProfile, CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
+import numpy as np
+
+from .markets import MarketKind, solve_market
+from .model import CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
 from .voting import (
+    WeightProfile,
     votes_from_beliefs,
     weighted_margin,
     weights_egalitarian,
@@ -42,6 +40,12 @@ from .voting import (
 # rather than exactly on it.
 TIE_TOLERANCE = 1e-12
 
+WEIGHT_SCHEMES: dict[str, Callable[[CompetenceProfile], WeightProfile]] = {
+    "egalitarian": lambda q: weights_egalitarian(q.n),
+    "linear": weights_linear,
+    "log_odds": weights_log_odds,
+}
+
 
 class EquivalenceScheme(Enum):
     SIMPLE_NAIVE = "simple_naive"
@@ -49,11 +53,15 @@ class EquivalenceScheme(Enum):
     LOG_ODDS_TAXED = "log_odds_taxed"
 
 
-ALL_SCHEMES = (
-    EquivalenceScheme.SIMPLE_NAIVE,
-    EquivalenceScheme.LINEAR_KELLY,
-    EquivalenceScheme.LOG_ODDS_TAXED,
-)
+# Each pairing's weight scheme and the market whose binarised price
+# reproduces that weighted majority.
+PAIRINGS: dict[EquivalenceScheme, tuple[str, MarketKind]] = {
+    EquivalenceScheme.SIMPLE_NAIVE: ("egalitarian", MarketKind.NAIVE),
+    EquivalenceScheme.LINEAR_KELLY: ("linear", MarketKind.KELLY),
+    EquivalenceScheme.LOG_ODDS_TAXED: ("log_odds", MarketKind.TAXED_ASYMPTOTIC),
+}
+
+ALL_SCHEMES = tuple(EquivalenceScheme)
 
 
 @dataclass(frozen=True)
@@ -79,75 +87,9 @@ def decision_from_offset(offset: float, tolerance: float = TIE_TOLERANCE) -> Dec
     return Decision.TIE
 
 
-def _election_side(beliefs: BeliefProfile, weights) -> tuple[Decision, float]:
-    votes = votes_from_beliefs(beliefs)
-    margin = weighted_margin(votes, weights)
-    return decision_from_offset(margin), margin
-
-
-def _report(
-    scheme: EquivalenceScheme,
-    election: Decision,
-    margin: float,
-    market: Decision,
-    price: float,
-    guaranteed: bool,
-    k: float | None = None,
-) -> EquivalenceReport:
-    return EquivalenceReport(
-        scheme=scheme,
-        election=election,
-        market=market,
-        agree=election.members == market.members,
-        price=price,
-        weighted_margin=margin,
-        guaranteed=guaranteed,
-        k=k,
-    )
-
-
-def check_simple_naive(q: CompetenceProfile, y: SignalProfile) -> EquivalenceReport:
-    """Simple majority vs the binarised expected-wealth clearing price."""
-    beliefs = beliefs_from_signals(q, y)
-    election, margin = _election_side(beliefs, weights_egalitarian(q.n))
-    price = naive_equilibrium(beliefs).price
-    market = decision_from_offset(price - 0.5)
-    return _report(EquivalenceScheme.SIMPLE_NAIVE, election, margin, market, price, True)
-
-
-def check_linear_kelly(q: CompetenceProfile, y: SignalProfile) -> EquivalenceReport:
-    """Linear-weight majority vs the binarised log-utility clearing price."""
-    beliefs = beliefs_from_signals(q, y)
-    election, margin = _election_side(beliefs, weights_linear(q))
-    price = kelly_equilibrium(beliefs).price
-    market = decision_from_offset(price - 0.5)
-    return _report(EquivalenceScheme.LINEAR_KELLY, election, margin, market, price, True)
-
-
-def check_log_odds_taxed(
-    q: CompetenceProfile, y: SignalProfile, k: float | None = None
-) -> EquivalenceReport:
-    """Log-odds majority vs the binarised taxed-market clearing price.
-
-    Without k the heavy-damping closed form is used and agreement is exact:
-    the price's log-odds is the mean belief log-odds, which is a positive
-    multiple of the weighted margin, so the comparison runs on that shared
-    quantity.  With a finite k the solved price is binarised instead;
-    agreement then only tends to hold as k grows, so guaranteed is False.
-    """
-    beliefs = beliefs_from_signals(q, y)
-    election, margin = _election_side(beliefs, weights_log_odds(q))
-    if k is None:
-        price = taxed_equilibrium_asymptotic(beliefs)
-        market = decision_from_offset(log(price / (1.0 - price)))
-        return _report(
-            EquivalenceScheme.LOG_ODDS_TAXED, election, margin, market, price, True
-        )
-    price = taxed_equilibrium_finite(beliefs, k).price
-    market = decision_from_offset(price - 0.5)
-    return _report(
-        EquivalenceScheme.LOG_ODDS_TAXED, election, margin, market, price, False, k
-    )
+def decisions_from_offsets(offsets: np.ndarray) -> np.ndarray:
+    """decision_from_offset over a vector, coded as int8: +1 A, -1 B, 0 tie."""
+    return (offsets > TIE_TOLERANCE).astype(np.int8) - (offsets < -TIE_TOLERANCE)
 
 
 def check_scheme(
@@ -156,16 +98,55 @@ def check_scheme(
     y: SignalProfile,
     k: float | None = None,
 ) -> EquivalenceReport:
-    """Dispatch one commuting-diagram check by scheme."""
-    if scheme is EquivalenceScheme.SIMPLE_NAIVE:
-        return check_simple_naive(q, y)
-    if scheme is EquivalenceScheme.LINEAR_KELLY:
-        return check_linear_kelly(q, y)
-    return check_log_odds_taxed(q, y, k)
+    """One commuting-diagram check: a weighted majority vs its paired market.
+
+    Both sides run on the same beliefs.  The log-odds pairing's market is
+    the heavy-damping closed form, binarised on its price's log-odds (a
+    positive multiple of the weighted margin), so agreement is exact.  With
+    a finite k that pairing solves the finite-k taxed market instead;
+    agreement then only tends to hold as k grows, so guaranteed is False.
+    The other pairings ignore k.
+    """
+    weights, kind = PAIRINGS[scheme]
+    finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None
+    if finite:
+        kind = MarketKind.TAXED_FINITE
+    beliefs = beliefs_from_signals(q, y)
+    margin = weighted_margin(votes_from_beliefs(beliefs), WEIGHT_SCHEMES[weights](q))
+    price, offset, _ = solve_market(beliefs, kind, k)
+    election = decision_from_offset(margin)
+    market = decision_from_offset(offset)
+    return EquivalenceReport(
+        scheme=scheme,
+        election=election,
+        market=market,
+        agree=election.members == market.members,
+        price=price,
+        weighted_margin=margin,
+        guaranteed=not finite,
+        k=k if finite else None,
+    )
+
+
+def check_simple_naive(q: CompetenceProfile, y: SignalProfile) -> EquivalenceReport:
+    """Simple majority vs the binarised expected-wealth clearing price."""
+    return check_scheme(EquivalenceScheme.SIMPLE_NAIVE, q, y)
+
+
+def check_linear_kelly(q: CompetenceProfile, y: SignalProfile) -> EquivalenceReport:
+    """Linear-weight majority vs the binarised log-utility clearing price."""
+    return check_scheme(EquivalenceScheme.LINEAR_KELLY, q, y)
+
+
+def check_log_odds_taxed(
+    q: CompetenceProfile, y: SignalProfile, k: float | None = None
+) -> EquivalenceReport:
+    """Log-odds majority vs the binarised taxed-market clearing price."""
+    return check_scheme(EquivalenceScheme.LOG_ODDS_TAXED, q, y, k)
 
 
 def check_all_schemes(
     q: CompetenceProfile, y: SignalProfile, k: float | None = None
 ) -> list[EquivalenceReport]:
     """All three checks on one input; k only affects the taxed scheme."""
-    return [check_scheme(scheme, q, y, k) for scheme in ALL_SCHEMES]
+    return [check_simple_naive(q, y), check_linear_kelly(q, y), check_log_odds_taxed(q, y, k)]

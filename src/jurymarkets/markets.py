@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, expm1, fsum, log, log1p
+from math import exp, expm1, fsum, inf, log, log1p
 
 import numpy as np
 
@@ -149,6 +149,11 @@ def _check_belief(b: float) -> None:
         raise ValueError(f"belief {b!r} must lie strictly inside (0, 1)")
 
 
+def _check_k(k: float | None) -> None:
+    if k is None or not 0.0 < k < inf:  # the chained test also rejects NaN
+        raise ValueError(f"tax intensity needs a finite positive k, got {k!r}")
+
+
 def clearing_price(profile: InvestmentProfile) -> float:
     """The unique price equating security quantities on the two sides.
 
@@ -240,8 +245,7 @@ def tax_function(x: float, p: float, k: float) -> float:
     increasing, concave, T(0) = 0, and T(x) -> x as k -> 0.
     """
     _check_price(p)
-    if k <= 0.0:
-        raise ValueError(f"tax intensity k={k!r} must be positive")
+    _check_k(k)
     a = k * p / (1.0 - p)
     return -expm1(-a * x) / a
 
@@ -255,8 +259,7 @@ def taxed_utility(p: float, b: float, s: float, k: float) -> float:
     """
     _check_price(p)
     _check_belief(b)
-    if k <= 0.0:
-        raise ValueError(f"tax intensity k={k!r} must be positive")
+    _check_k(k)
     if s == 1.0:
         return float("-inf")
     return b * log1p(tax_function(s * (1.0 - p) / p, p, k)) + (1.0 - b) * log1p(-s)
@@ -318,8 +321,7 @@ def taxed_best_response(
     """Bisection root of the taxed first-order condition at price p."""
     _check_price(p)
     _check_belief(b)
-    if k <= 0.0:
-        raise ValueError(f"tax intensity k={k!r} must be positive")
+    _check_k(k)
     signed = float(_taxed_stakes_signed(np.array([b]), p, k, tol)[0])
     if signed > 0.0:
         return SideInvestment("A", signed)
@@ -337,8 +339,7 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
     """
     _check_price(p)
     _check_belief(b)
-    if k <= 0.0:
-        raise ValueError(f"tax intensity k={k!r} must be positive")
+    _check_k(k)
     if b > p:
         return SideInvestment("A", log((1.0 - p) / p * b / (1.0 - b)) / k)
     if b < p:
@@ -465,8 +466,7 @@ def taxed_equilibrium_finite(
     agents) solves each taxed first-order condition at the probed price.
     D is verified to change sign across the bracket before bisecting.
     """
-    if k <= 0.0:
-        raise ValueError(f"tax intensity k={k!r} must be positive")
+    _check_k(k)
     beliefs = np.array(b.b, dtype=float)
 
     def demand(p: float) -> np.ndarray:
@@ -515,6 +515,29 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
     """
     mean_log_odds = fsum(log(bi / (1.0 - bi)) for bi in b.b) / b.n
     return 1.0 / (1.0 + exp(-mean_log_odds))
+
+
+def solve_market(
+    b: BeliefProfile, kind: MarketKind, k: float | None
+) -> tuple[float, float, EquilibriumResult | None]:
+    """Solve one market kind; returns (price, decision offset, result).
+
+    The offset is what the market's decision is read from, with the shared
+    tie band: the price's log-odds for the asymptotic taxed market (its
+    natural scale), price - 1/2 for the others.  The asymptotic market has a
+    closed-form price but no finite stakes, so its result is None.  Only the
+    finite taxed market reads k.
+    """
+    if kind is MarketKind.TAXED_ASYMPTOTIC:
+        price = taxed_equilibrium_asymptotic(b)
+        return price, log(price / (1.0 - price)), None
+    if kind is MarketKind.NAIVE:
+        result = naive_equilibrium(b)
+    elif kind is MarketKind.KELLY:
+        result = kelly_equilibrium(b)
+    else:
+        result = taxed_equilibrium_finite(b, k)
+    return result.price, result.price - 0.5, result
 
 
 def full_investment_equivalence(b: float, p: float) -> tuple[float, float]:

@@ -17,9 +17,10 @@ other value is rejected instead of silently producing garbage.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 STATE_A = "A"
 STATE_B = "B"
@@ -107,23 +108,6 @@ class BeliefProfile:
         return len(self.b)
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Global constants of the decision problem.
-
-    Only the canonical values are accepted: a fair prior and unit wealth.
-    """
-
-    prior: float = 0.5
-    endowment: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.prior != 0.5:
-            raise ValueError(f"prior must be exactly 0.5, got {self.prior!r}")
-        if self.endowment != 1.0:
-            raise ValueError(f"endowment must be exactly 1, got {self.endowment!r}")
-
-
 def posterior_belief(q_i: float, y_i: str) -> float:
     """Posterior probability of state A after one signal under a fair prior."""
     if not 0.5 < q_i < 1.0:
@@ -158,12 +142,38 @@ def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfil
     return BeliefProfile(tuple(posterior_belief(qi, yi) for qi, yi in zip(q.q, y.y)))
 
 
+def signal_matrix(n: int) -> np.ndarray:
+    """All 2**n signal profiles of n agents as a boolean matrix, True for A.
+
+    Rows run in lexicographic order with A before B: row r spells out the
+    binary digits of r, first agent most significant, with 0 read as A.
+    Accuracy, enumeration and the exhaustive check take their profile order
+    from here; the accuracy oracle keeps its own on purpose.
+    """
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)
+    return (bits & 1) == 0
+
+
+def profile_probabilities(
+    q: CompetenceProfile, signals: np.ndarray, state: str
+) -> np.ndarray:
+    """Probability of each row of a boolean signal matrix under the given state.
+
+    Factors are multiplied agent by agent, left to right, so each entry is
+    the same double as a scalar running product over the profile.
+    """
+    probs = np.ones(len(signals))
+    for qi, column in zip(q.q, signals.T):
+        probs *= np.where(column == (state == STATE_A), qi, 1.0 - qi)
+    return probs
+
+
 def enumerate_signal_space(
     q: CompetenceProfile, state: str, cap: int = ENUMERATION_CAP
 ) -> list[tuple[SignalProfile, float]]:
     """All 2**n signal profiles with their probabilities under the given state.
 
-    Profiles are emitted in lexicographic order with A before B, so the
+    Profiles come in signal_matrix order (lexicographic, A before B), so the
     output order is deterministic and identical for both states.  The
     probabilities for a fixed state sum to one (up to rounding).
     """
@@ -171,10 +181,7 @@ def enumerate_signal_space(
         raise ValueError(f"state {state!r} must be 'A' or 'B'")
     if q.n > cap:
         raise ValueError(f"enumeration over {q.n} agents exceeds the cap of {cap}")
-    out: list[tuple[SignalProfile, float]] = []
-    for combo in itertools.product(STATES, repeat=q.n):
-        prob = 1.0
-        for qi, yi in zip(q.q, combo):
-            prob *= qi if yi == state else 1.0 - qi
-        out.append((SignalProfile(combo), prob))
-    return out
+    signals = signal_matrix(q.n)
+    probs = profile_probabilities(q, signals, state).tolist()
+    labels = np.where(signals, STATE_A, STATE_B).tolist()
+    return [(SignalProfile(tuple(y)), p) for y, p in zip(labels, probs)]

@@ -52,9 +52,11 @@ class WeightProfile:
 def weighted_margin(votes: VotingProfile, weights: WeightProfile) -> float:
     """Weight mass behind A minus half of the total weight.
 
-    Both sums go through fsum so that algebraically balanced splits land on
-    exactly 0.0 instead of picking up summation-order noise; tie detection
-    downstream relies on that.
+    Both sums go through fsum, so each is correctly rounded, but an
+    algebraically balanced split still need not land on exactly 0.0: the
+    weights themselves carry rounding.  Log-odds weights for competences
+    (2/3, 2/3, 0.8) with signals AAB give -2.2e-16.  Ties are read by
+    decision_from_offset's tolerance band, not by comparing with zero.
     """
     if votes.n != weights.n:
         raise ValueError(f"{votes.n} votes but {weights.n} weights")

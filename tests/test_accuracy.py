@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from math import comb, fsum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from jurymarkets import (
     majority_aggregator,
     market_aggregator,
     monte_carlo_accuracy,
+    signal_matrix,
     verify_optimal_weights,
 )
 from tests.conftest import random_competences
@@ -40,6 +42,24 @@ class TestAggregatorBuilders:
         assert majority_aggregator("linear").name == "majority_linear"
         assert market_aggregator(MarketKind.NAIVE).name == "market_naive"
         assert market_aggregator(MarketKind.TAXED_FINITE, 2.0).name == "market_taxed_finite_k=2"
+
+
+class TestBatchDecide:
+    def test_batch_equals_one_row_calls(self):
+        q = CompetenceProfile((0.9, 0.7, 0.6, 0.6))
+        signals = signal_matrix(q.n)
+        for agg in (
+            majority_aggregator("egalitarian"),
+            majority_aggregator("log_odds"),
+            fixed_weights_aggregator("explicit", WeightProfile((1.0, 2.0, 0.5, 0.5))),
+            market_aggregator(MarketKind.KELLY),
+            market_aggregator(MarketKind.TAXED_FINITE, 10.0),
+        ):
+            decisions = agg.decide(q, signals)
+            assert decisions.dtype == np.int8 and decisions.shape == (2**q.n,)
+            assert set(decisions.tolist()) <= {-1, 0, 1}
+            rows = [int(agg.decide(q, signals[r : r + 1])[0]) for r in range(len(signals))]
+            assert decisions.tolist() == rows, agg.name
 
 
 class TestExactAccuracy:
@@ -158,14 +178,26 @@ class TestMonteCarlo:
         assert est.value > 0.90
         assert abs(est.value - tail) <= 4 * est.std_error
 
-    def test_slow_path_used_for_market_aggregators(self):
-        q = CompetenceProfile((0.8, 0.6, 0.6))
-        agg = market_aggregator(MarketKind.NAIVE)
-        est = monte_carlo_accuracy(agg, q, 4_000, 5)
-        exact = exact_accuracy(agg, q).value
-        assert est.trials == 4_000
-        assert abs(est.value - exact) <= 4 * est.std_error
-        assert monte_carlo_accuracy(agg, q, 4_000, 5) == est
+    def test_market_estimate_equals_paired_majority_estimate(self):
+        # A market decides every sampled profile as its paired majority does,
+        # so on the same (seed, trials) the two estimates coincide exactly.
+        rng = random.Random(41)
+        for scheme, kind, trials, panels in (
+            ("egalitarian", MarketKind.NAIVE, 4_000, 3),
+            ("linear", MarketKind.KELLY, 4_000, 3),
+            ("log_odds", MarketKind.TAXED_ASYMPTOTIC, 4_000, 3),
+            ("egalitarian", MarketKind.NAIVE, 65_537, 1),  # two batches
+        ):
+            for _ in range(panels):
+                q = random_competences(rng, rng.randint(2, 6))
+                market = monte_carlo_accuracy(market_aggregator(kind), q, trials, 5)
+                majority = monte_carlo_accuracy(majority_aggregator(scheme), q, trials, 5)
+                assert market.trials == trials
+                assert (market.value, market.tie_mass, market.std_error) == (
+                    majority.value,
+                    majority.tie_mass,
+                    majority.std_error,
+                ), (q, kind)
 
     def test_batch_boundary_handling(self):
         q = CompetenceProfile((0.7, 0.7))

@@ -253,8 +253,19 @@ class TestSweepCommand:
         assert b"CSV" in result.stderr
 
     def test_bad_k_list(self):
-        result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", "1,zero")
+        for k_list in ("1,zero", "nan,inf", "1,inf", "nan", "-1"):
+            result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", k_list)
+            assert result.returncode == 1, k_list
+            assert result.stdout == b"", k_list
+
+    @pytest.mark.parametrize("k", ["inf", "nan"])
+    def test_non_finite_k_flag_rejected(self, k):
+        result = run_cli(
+            "solve", "--config", str(EXAMPLE_1), "--market", "taxed_finite", "--k", k
+        )
         assert result.returncode == 1
+        assert result.stdout == b""
+        assert b"finite positive" in result.stderr
 
     def test_single_agent_sweep(self, tmp_path):
         config = tmp_path / "solo.json"
@@ -294,6 +305,9 @@ class TestConfigValidation:
             (lambda d: d.update(signals=["A"]), "length 1 but there are 2 agents"),
             (lambda d: d.update(signals=["A", "C"]), "signals[1]='C'"),
             (lambda d: d.update(k=-2, market="taxed_finite"), "k=-2"),
+            (lambda d: d.update(k=float("inf"), market="taxed_finite"), "k=inf"),
+            (lambda d: d.update(k=float("nan"), market="taxed_finite"), "k=nan"),
+            (lambda d: d.update(k=True, market="taxed_finite"), "k=True"),
             (lambda d: d.update(k=1.0, market="kelly"), "k only applies"),
             (lambda d: d.update(market="lmsr"), "market='lmsr'"),
             (lambda d: d.update(weights="quadratic"), "weights='quadratic'"),

@@ -366,6 +366,19 @@ class TestTaxedEquilibrium:
         with pytest.raises(ValueError, match="positive"):
             taxed_equilibrium_finite(beliefs, -1.0)
 
+    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
+    def test_rejects_non_finite_k(self, example1, k):
+        _, _, beliefs = example1
+        for call in (
+            lambda: taxed_equilibrium_finite(beliefs, k),
+            lambda: tax_function(1.0, 0.4, k),
+            lambda: taxed_utility(0.4, 0.6, 0.1, k),
+            lambda: taxed_best_response(0.6, 0.4, k),
+            lambda: taxed_best_response_asymptotic(0.6, 0.4, k),
+        ):
+            with pytest.raises(ValueError, match="finite positive k"):
+                call()
+
 
 class TestFullInvestmentEquivalence:
     def test_worked_pair(self):

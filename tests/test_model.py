@@ -16,12 +16,12 @@ from jurymarkets import (
     BeliefProfile,
     CompetenceProfile,
     Decision,
-    ModelConfig,
     SignalProfile,
     beliefs_from_signals,
     binarize,
     enumerate_signal_space,
     posterior_belief,
+    signal_matrix,
 )
 
 competences = st.lists(
@@ -59,21 +59,6 @@ class TestProfiles:
 
     def test_signal_accepts_states(self):
         assert SignalProfile(("A", "B", "B")).n == 3
-
-
-class TestModelConfig:
-    def test_defaults(self):
-        cfg = ModelConfig()
-        assert cfg.prior == 0.5
-        assert cfg.endowment == 1.0
-
-    def test_rejects_other_prior(self):
-        with pytest.raises(ValueError, match="prior"):
-            ModelConfig(prior=0.6)
-
-    def test_rejects_other_endowment(self):
-        with pytest.raises(ValueError, match="endowment"):
-            ModelConfig(endowment=2.0)
 
 
 class TestPosterior:
@@ -142,6 +127,23 @@ class TestEnumerateSignalSpace:
         space = dict((y.y, p) for y, p in enumerate_signal_space(q, STATE_B))
         assert space[("A", "B")] == pytest.approx((1 - 0.9) * 0.7, abs=1e-15)
         assert space[("B", "B")] == pytest.approx(0.9 * 0.7, abs=1e-15)
+
+    def test_signal_matrix_matches_product_order(self):
+        for n in (1, 3, 6):
+            rows = [
+                tuple(STATE_A if s else STATE_B for s in row)
+                for row in signal_matrix(n).tolist()
+            ]
+            assert rows == list(product((STATE_A, STATE_B), repeat=n))
+
+    def test_probabilities_equal_scalar_running_product(self):
+        q = CompetenceProfile((0.9, 0.7, 0.55, 0.65))
+        for state in (STATE_A, STATE_B):
+            for y, p in enumerate_signal_space(q, state):
+                prob = 1.0
+                for qi, yi in zip(q.q, y.y):
+                    prob *= qi if yi == state else 1.0 - qi
+                assert p == prob
 
     def test_cap_enforced(self):
         q = CompetenceProfile((0.6,) * (ENUMERATION_CAP + 1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from jurymarkets import (
@@ -18,6 +19,7 @@ from jurymarkets import (
     grid_equilibrium_search,
     kelly_equilibrium,
     majority_aggregator,
+    market_aggregator,
     naive_equilibrium,
     taxed_equilibrium_finite,
 )
@@ -131,9 +133,16 @@ class TestGridLimits:
             grid_equilibrium_search(beliefs, MarketKind.NAIVE)
 
 
+DECISION_CODES = {1: Decision.A, -1: Decision.B, 0: Decision.TIE}
+
+
+def scalar_decider(agg, q: CompetenceProfile):
+    """A batch rule deciding one profile at a time, as a one-row signal matrix."""
+    return lambda y: DECISION_CODES[int(agg.decide(q, np.array([[s == "A" for s in y]]))[0])]
+
+
 def simple_majority_decider(q: CompetenceProfile):
-    agg = majority_aggregator("egalitarian")
-    return lambda y: agg.decide(q, y)
+    return scalar_decider(majority_aggregator("egalitarian"), q)
 
 
 class TestAccuracyOracle:
@@ -165,14 +174,33 @@ class TestAccuracyOracle:
 
     def test_matches_library_exact_accuracy(self):
         rng = random.Random(6)
-        for _ in range(10):
-            q = random_competences(rng, rng.randint(1, 6))
-            for scheme in ("egalitarian", "linear", "log_odds"):
-                agg = majority_aggregator(scheme)
-                oracle_value = exhaustive_accuracy_oracle(q, lambda y: agg.decide(q, y))
+        panels = [random_competences(rng, rng.randint(1, 6)) for _ in range(10)]
+        panels.append(CompetenceProfile((2 / 3, 2 / 3, 0.8)))  # near-tie panel
+        for q in panels:
+            aggregators = [
+                majority_aggregator(scheme) for scheme in ("egalitarian", "linear", "log_odds")
+            ]
+            if q.n <= 4:
+                aggregators += [
+                    market_aggregator(MarketKind.NAIVE),
+                    market_aggregator(MarketKind.KELLY),
+                    market_aggregator(MarketKind.TAXED_ASYMPTOTIC),
+                    market_aggregator(MarketKind.TAXED_FINITE, 10.0),
+                ]
+            for agg in aggregators:
+                oracle_value = exhaustive_accuracy_oracle(q, scalar_decider(agg, q))
                 assert oracle_value == pytest.approx(
                     exact_accuracy(agg, q).value, abs=1e-12
-                )
+                ), (q, agg.name)
+
+    def test_near_tie_margin_is_read_as_tie(self):
+        # Log-odds weights on AAB: the fsum margin is -2.2e-16, not 0.0.
+        q = CompetenceProfile((2 / 3, 2 / 3, 0.8))
+        for agg in (
+            majority_aggregator("log_odds"),
+            market_aggregator(MarketKind.TAXED_ASYMPTOTIC),
+        ):
+            assert scalar_decider(agg, q)(("A", "A", "B")) is Decision.TIE, agg.name
 
     def test_agent_cap(self):
         q = CompetenceProfile((0.6,) * 13)
