@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equivalence import WEIGHT_SCHEMES, decisions_from_offsets
+from .equivalence import WEIGHT_SCHEMES
 from .markets import MarketKind, _check_k, solve_market
 from .model import (
     STATE_A,
@@ -36,7 +36,7 @@ from .model import (
     profile_probabilities,
     signal_matrix,
 )
-from .voting import WeightProfile
+from .voting import WeightProfile, decisions_from_offsets
 
 EXACT_MAX_AGENTS = 12
 VERIFY_MAX_AGENTS = 10

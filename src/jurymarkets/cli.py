@@ -42,7 +42,6 @@ from .equivalence import (
     WEIGHT_SCHEMES,
     EquivalenceReport,
     check_all_schemes,
-    decision_from_offset,
 )
 from .markets import (
     BracketingError,
@@ -62,7 +61,12 @@ from .model import (
     enumerate_signal_space,
 )
 from .oracle import GRID_ORACLE_MAX_AGENTS, grid_equilibrium_search
-from .voting import votes_from_beliefs, weighted_margin, weights_egalitarian
+from .voting import (
+    decision_from_offset,
+    votes_from_beliefs,
+    weighted_margin,
+    weights_egalitarian,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

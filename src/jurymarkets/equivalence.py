@@ -21,24 +21,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .markets import MarketKind, solve_market
 from .model import CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
-from .voting import (
+from .voting import (  # TIE_TOLERANCE and decision_from_offset are re-exported
+    TIE_TOLERANCE,
     WeightProfile,
+    decision_from_offset,
     votes_from_beliefs,
     weighted_margin,
     weights_egalitarian,
     weights_linear,
     weights_log_odds,
 )
-
-# Weighted margins and price offsets within this bound of zero are read as
-# ties: weights and prices computed from float competences carry relative
-# error ~1e-16, so algebraically tied cases land within a few ulps of zero
-# rather than exactly on it.
-TIE_TOLERANCE = 1e-12
 
 WEIGHT_SCHEMES: dict[str, Callable[[CompetenceProfile], WeightProfile]] = {
     "egalitarian": lambda q: weights_egalitarian(q.n),
@@ -76,20 +70,6 @@ class EquivalenceReport:
     weighted_margin: float
     guaranteed: bool
     k: float | None = None
-
-
-def decision_from_offset(offset: float, tolerance: float = TIE_TOLERANCE) -> Decision:
-    """Ternary sign of a margin-like quantity, with a tie band around zero."""
-    if offset > tolerance:
-        return Decision.A
-    if offset < -tolerance:
-        return Decision.B
-    return Decision.TIE
-
-
-def decisions_from_offsets(offsets: np.ndarray) -> np.ndarray:
-    """decision_from_offset over a vector, coded as int8: +1 A, -1 B, 0 tie."""
-    return (offsets > TIE_TOLERANCE).astype(np.int8) - (offsets < -TIE_TOLERANCE)
 
 
 def check_scheme(

@@ -19,7 +19,8 @@ B-securities sold:
   to vanishing stakes proportional to log-odds (k -> infinity).
 
 Each solver returns the full investment profile, the clearing price, and
-diagnostics (iterations, clearing residual, degeneracy).
+diagnostics (iterations, clearing residual, degeneracy, and for the taxed
+solver its Newton steps and final price-bracket width).
 """
 
 from __future__ import annotations
@@ -27,18 +28,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, expm1, fsum, inf, log, log1p
+from sys import float_info
 
 import numpy as np
 
 from .model import BeliefProfile
 
-# Root-finding controls for the taxed model.  The outer loop bisections the
-# price of the excess demand for securities; the inner loop bisections each
-# agent's first-order condition.
+# Root-finding controls for the taxed model.  The outer loop runs Brent's
+# method (inverse quadratic interpolation safeguarded by bisection) on the
+# excess demand for securities and stops once its sign-change bracket around
+# the price is at most PRICE_TOLERANCE wide.  The inner loop runs Newton's
+# method on every agent's first-order condition and stops once a sign change
+# certifies each stake to within RESPONSE_TOLERANCE times itself.  A loop
+# that runs out of iterations raises BracketingError instead of returning an
+# uncertified answer.
 PRICE_BRACKET_EPS = 1e-9
-PRICE_TOLERANCE = 1e-9
+PRICE_TOLERANCE = 1e-12
 RESPONSE_TOLERANCE = 1e-12
-MAX_BISECTION_ITERATIONS = 200
+MAX_PRICE_PROBES = 100
+MAX_NEWTON_STEPS = 100
+
+# Neither tolerance can resolve a root more finely than rounding allows:
+# brackets also stop within four ulps of the price, and stakes within four
+# ulps of their scale, min(1, 1/k).
+ROUNDING_ULPS = 4.0 * float_info.epsilon
 
 # Upper end of the stake bracket: staking the whole endowment has log-utility
 # minus infinity, so the optimum always sits strictly inside.
@@ -107,12 +120,17 @@ class Diagnostics:
 
     ``residual`` is the imbalance in security quantities,
     (1/p) * sum(sA) - (1/(1-p)) * sum(sB); ``degenerate`` marks markets with
-    no trade on some side, where that ratio is not defined.
+    no trade on some side, where that ratio is not defined.  The taxed
+    solver also reports its price probes as ``iterations``, its Newton steps
+    summed over those probes as ``inner_iterations``, and the width of the
+    final sign-change bracket around the price as ``price_bracket_width``.
     """
 
     iterations: int = 0
     residual: float = 0.0
     degenerate: bool = False
+    inner_iterations: int = 0
+    price_bracket_width: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -277,52 +295,83 @@ def taxed_foc_residual(s: float, b: float, p: float, k: float) -> float:
 
 def _taxed_stakes_signed(
     beliefs: np.ndarray, p: float, k: float, tol: float = RESPONSE_TOLERANCE
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Vectorised taxed best responses at price p: +stake on A, -stake on B.
 
-    Agents below the price are mapped through the mirror (1-b, 1-p) so a
-    single bisection of the first-order condition covers everyone at once.
+    Agents below the price are mapped through the mirror (1-b, 1-p), so every
+    active agent has b > p.  Clearing the positive denominators of the
+    first-order condition leaves
+
+        h(s) = k b e^(-ks) (1-s) - (1-b) (a - expm1(-ks)),  a = k p/(1-p),
+
+    with h(0) > 0, h' = -k e^(-ks) (k b (1-s) + 1) < 0 and
+    h'' = k^2 e^(-ks) (k b (1-s) + 1 + b) > 0.  On a convex decreasing h,
+    Newton's method clamped at a lower bound of the root lands left of the
+    root after one step and then climbs to it monotonically, so no bracket
+    needs keeping.  It starts at the smaller of the Kelly stake and the
+    log-odds/k stake, and stops only when the sign change
+    h(s-t) >= 0 >= h(s+t) certifies every stake, where t is tol * s plus a
+    few ulps of the stake scale min(1, 1/k).  Returns the signed stakes and
+    the number of Newton steps; raises BracketingError when the optimum lies
+    above STAKE_BRACKET_HIGH or the steps run out.
     """
+    above = beliefs > p
     active = beliefs != p
-    bb = np.where(beliefs > p, beliefs, 1.0 - beliefs)
-    pp = np.where(beliefs > p, p, 1.0 - p)
+    bb = np.where(above, beliefs, 1.0 - beliefs)[active]
+    pp = np.where(above, p, 1.0 - p)[active]
     a = k * pp / (1.0 - pp)
+    kb = k * bb
     one_minus_b = 1.0 - bb
 
-    def foc(s: np.ndarray) -> np.ndarray:
-        return k * bb * np.exp(-k * s) / (a - np.expm1(-k * s)) - one_minus_b / (1.0 - s)
+    def h(s: np.ndarray) -> np.ndarray:
+        return kb * np.exp(-k * s) * (1.0 - s) - one_minus_b * (a - np.expm1(-k * s))
 
-    lo = np.zeros_like(bb)
-    hi = np.full_like(bb, STAKE_BRACKET_HIGH)
-    f_hi = foc(hi)
-    if np.any(f_hi[active] >= 0.0):
-        worst = float(np.max(f_hi[active]))
-        raise BracketingError(
-            "taxed first-order condition does not change sign on "
-            f"[0, {STAKE_BRACKET_HIGH}]: residual at the top is {worst!r}"
-        )
-    # f(0) = b(1-p)/p - (1-b) > 0 exactly when b > p, which holds for every
-    # active agent after mirroring, so only the top end needed checking.
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        go_up = foc(mid) > 0.0
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-        if float(np.max(hi - lo)) <= tol:
+    # The taxed optimum never exceeds the Kelly stake, so only an agent whose
+    # Kelly stake reaches the top of the stake bracket can have it past there.
+    kelly = (bb - pp) / (1.0 - pp)
+    if (kelly >= STAKE_BRACKET_HIGH).any():
+        h_top = h(np.full_like(bb, STAKE_BRACKET_HIGH))
+        if (h_top >= 0.0).any():
+            raise BracketingError(
+                "taxed first-order condition does not change sign on "
+                f"[0, {STAKE_BRACKET_HIGH}]: residual at the top is {float(np.max(h_top))!r}"
+            )
+    # Newton starts at the smaller of the Kelly and log-odds/k stakes, both at
+    # or above the optimum.  Its steps are clamped at a stake no larger than
+    # the optimum rather than at 0: at the root, e^(-ks) (1-s) equals
+    # (1-b)(a + 1 - e^(-ks)) / (kb) <= (1-b)(a+1)/(kb), and s <= the start.
+    s = np.minimum(kelly, np.log(bb * (1.0 - pp) / (one_minus_b * pp)) / k)
+    lower = np.maximum(np.log1p(-s) + np.log(kb / (one_minus_b * (a + 1.0))), 0.0) / k
+    floor = ROUNDING_ULPS * min(1.0, 1.0 / k)
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        e = np.exp(-k * s)
+        value = kb * e * (1.0 - s) - one_minus_b * (a - np.expm1(-k * s))
+        new = np.maximum(s + value / (k * e * (kb * (1.0 - s) + 1.0)), lower)
+        t = tol * new + floor
+        settled = (np.abs(new - s) <= t).all()
+        s = new
+        if settled and (h(s - t) >= 0.0).all() and (h(s + t) <= 0.0).all():
             break
-    stakes = 0.5 * (lo + hi)
-    stakes = np.where(active, stakes, 0.0)
-    return np.where(beliefs > p, stakes, -stakes)
+    else:
+        raise BracketingError(
+            f"taxed stakes not certified after {MAX_NEWTON_STEPS} Newton steps at price {p!r}"
+        )
+    stakes = np.zeros_like(beliefs)
+    stakes[active] = s
+    return np.where(above, stakes, -stakes), steps
 
 
 def taxed_best_response(
     b: float, p: float, k: float, tol: float = RESPONSE_TOLERANCE
 ) -> SideInvestment:
-    """Bisection root of the taxed first-order condition at price p."""
+    """Certified Newton root of the taxed first-order condition at price p.
+
+    The stake is within tol times itself, plus a few ulps, of the optimum.
+    """
     _check_price(p)
     _check_belief(b)
     _check_k(k)
-    signed = float(_taxed_stakes_signed(np.array([b]), p, k, tol)[0])
+    signed = float(_taxed_stakes_signed(np.array([b]), p, k, tol)[0][0])
     if signed > 0.0:
         return SideInvestment("A", signed)
     if signed < 0.0:
@@ -359,6 +408,8 @@ def _result(
     kind: MarketKind,
     iterations: int = 0,
     k: float | None = None,
+    inner_iterations: int = 0,
+    price_bracket_width: float = 0.0,
 ) -> EquilibriumResult:
     profile = InvestmentProfile(tuple(sA), tuple(sB))
     degenerate = fsum(sA) == 0.0 or fsum(sB) == 0.0
@@ -367,7 +418,13 @@ def _result(
         profile=profile,
         price=price,
         kind=kind,
-        diagnostics=Diagnostics(iterations=iterations, residual=residual, degenerate=degenerate),
+        diagnostics=Diagnostics(
+            iterations=iterations,
+            residual=residual,
+            degenerate=degenerate,
+            inner_iterations=inner_iterations,
+            price_bracket_width=price_bracket_width,
+        ),
         k=k,
     )
 
@@ -460,46 +517,85 @@ def taxed_equilibrium_finite(
 ) -> EquilibriumResult:
     """Competitive equilibrium of the taxed market at a finite intensity k.
 
-    Nested bisection: the outer loop solves the excess demand for
-    securities, D(p) = (1/p) * sum of A-stakes - (1/(1-p)) * sum of
-    B-stakes, over p in (eps, 1-eps); the inner loop (vectorised over
-    agents) solves each taxed first-order condition at the probed price.
-    D is verified to change sign across the bracket before bisecting.
+    The excess demand for securities, D(p) = (1/p) * sum of A-stakes -
+    (1/(1-p)) * sum of B-stakes, is searched in the scaled form
+    p (1-p) D(p) = (1-p) * sum of A-stakes - p * sum of B-stakes, which has
+    the same sign but no 1/p blow-up at the ends of [eps, 1-eps].  Its sign
+    change across that bracket is verified, and then Brent's method (Brent
+    1973, as in brentq) runs: inverse quadratic interpolation, falling back
+    to bisection whenever that would not shrink the bracket fast enough.
+    The search stops once the sign-change bracket around the returned price
+    is at most price_tol wide, plus four ulps of the price.  Each probe
+    solves every agent's stake by certified Newton steps to the relative
+    tolerance response_tol (see _taxed_stakes_signed); the returned stakes
+    are those solved at the returned price.  Raises BracketingError when
+    either loop runs out of iterations.
     """
     _check_k(k)
     beliefs = np.array(b.b, dtype=float)
+    newton_steps = 0
 
-    def demand(p: float) -> np.ndarray:
-        return _taxed_stakes_signed(beliefs, p, k, response_tol)
+    def probe(p: float) -> tuple[float, float, np.ndarray]:
+        nonlocal newton_steps
+        signed, steps = _taxed_stakes_signed(beliefs, p, k, response_tol)
+        newton_steps += steps
+        scaled = np.where(signed > 0.0, signed * (1.0 - p), signed * p)
+        return p, float(fsum(scaled.tolist())), signed
 
-    def excess(signed: np.ndarray, p: float) -> float:
-        quantities = np.where(signed > 0.0, signed / p, signed / (1.0 - p))
-        return float(fsum(quantities.tolist()))
-
-    lo, hi = PRICE_BRACKET_EPS, 1.0 - PRICE_BRACKET_EPS
-    d_lo = excess(demand(lo), lo)
-    d_hi = excess(demand(hi), hi)
-    if not (d_lo > 0.0 > d_hi):
+    lo = probe(PRICE_BRACKET_EPS)
+    hi = probe(1.0 - PRICE_BRACKET_EPS)
+    if not (lo[1] > 0.0 > hi[1]):
         raise BracketingError(
             "excess security demand does not change sign on "
-            f"[{lo}, {hi}]: D(lo)={d_lo!r}, D(hi)={d_hi!r}"
+            f"[{lo[0]}, {hi[0]}]: p(1-p)D is {lo[1]!r} at lo and {hi[1]!r} at hi"
         )
 
-    iterations = 0
-    for iterations in range(1, MAX_BISECTION_ITERATIONS + 1):
-        price = 0.5 * (lo + hi)
-        signed = demand(price)
-        residual = excess(signed, price)
-        if abs(residual) <= price_tol or price == lo or price == hi:
+    # cur is the best probe so far, far the opposite end of its sign-change
+    # bracket, prev the probe before cur; step and prev_step are the last two
+    # moves of cur.
+    prev, cur, far = lo, hi, lo
+    step = prev_step = hi[0] - lo[0]
+    for iterations in range(MAX_PRICE_PROBES + 1):
+        if (prev[1] > 0.0) != (cur[1] > 0.0):
+            far = prev
+            step = prev_step = cur[0] - prev[0]
+        if abs(far[1]) < abs(cur[1]):
+            prev, cur, far = cur, far, cur
+        x, f = cur[0], cur[1]
+        delta = 0.5 * (price_tol + ROUNDING_ULPS * x)
+        half = 0.5 * (far[0] - x)
+        if f == 0.0 or abs(half) <= delta:
             break
-        if residual > 0.0:
-            lo = price
+        if iterations == MAX_PRICE_PROBES:
+            raise BracketingError(
+                f"taxed price not bracketed to {price_tol!r} after {MAX_PRICE_PROBES} "
+                f"probes: [{min(x, far[0])!r}, {max(x, far[0])!r}]"
+            )
+        trial = None
+        if abs(prev_step) > delta and abs(f) < abs(prev[1]):
+            if prev[0] == far[0]:  # secant
+                trial = -f * (x - prev[0]) / (f - prev[1])
+            else:  # inverse quadratic interpolation
+                d_prev = (prev[1] - f) / (prev[0] - x)
+                d_far = (far[1] - f) / (far[0] - x)
+                trial = -f * (far[1] * d_far - prev[1] * d_prev) / (
+                    d_far * d_prev * (far[1] - prev[1])
+                )
+        if trial is not None and 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
+            prev_step, step = step, trial
         else:
-            hi = price
+            prev_step = step = half
+        prev = cur
+        cur = probe(x + (step if abs(step) > delta else (delta if half > 0.0 else -delta)))
 
+    price, _, signed = cur
     sA = [float(x) if x > 0.0 else 0.0 for x in signed]
     sB = [float(-x) if x < 0.0 else 0.0 for x in signed]
-    return _result(sA, sB, price, MarketKind.TAXED_FINITE, iterations, k)
+    width = 0.0 if cur[1] == 0.0 else abs(far[0] - price)
+    return _result(
+        sA, sB, price, MarketKind.TAXED_FINITE, iterations, k,
+        inner_iterations=newton_steps, price_bracket_width=width,
+    )
 
 
 def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:

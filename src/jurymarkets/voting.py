@@ -6,7 +6,15 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
+import numpy as np
+
 from .model import BeliefProfile, CompetenceProfile, Decision
+
+# Weighted margins and price offsets within this bound of zero are read as
+# ties: weights and prices computed from float competences carry relative
+# error ~1e-16, so algebraically tied cases land within a few ulps of zero
+# rather than exactly on it.
+TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,18 +72,28 @@ def weighted_margin(votes: VotingProfile, weights: WeightProfile) -> float:
     return support - 0.5 * fsum(weights.w)
 
 
-def weighted_majority(votes: VotingProfile, weights: WeightProfile) -> Decision:
-    """{A} if the weighted support for A exceeds half the total weight, {B} if
-    it falls short, and a tie when the two sides carry exactly equal weight.
-
-    The comparison is exact on the computed doubles.
-    """
-    margin = weighted_margin(votes, weights)
-    if margin > 0.0:
+def decision_from_offset(offset: float, tolerance: float = TIE_TOLERANCE) -> Decision:
+    """Ternary sign of a margin-like quantity, with a tie band around zero."""
+    if offset > tolerance:
         return Decision.A
-    if margin < 0.0:
+    if offset < -tolerance:
         return Decision.B
     return Decision.TIE
+
+
+def decisions_from_offsets(offsets: np.ndarray) -> np.ndarray:
+    """decision_from_offset over a vector, coded as int8: +1 A, -1 B, 0 tie."""
+    return (offsets > TIE_TOLERANCE).astype(np.int8) - (offsets < -TIE_TOLERANCE)
+
+
+def weighted_majority(votes: VotingProfile, weights: WeightProfile) -> Decision:
+    """{A} if the weighted support for A exceeds half the total weight, {B} if
+    it falls short, and a tie when the two sides carry equal weight.
+
+    The margin is read by decision_from_offset, so a margin within
+    TIE_TOLERANCE of zero is a tie, as for every other decision rule.
+    """
+    return decision_from_offset(weighted_margin(votes, weights))
 
 
 def weights_egalitarian(n: int) -> WeightProfile:

@@ -7,9 +7,10 @@ from math import fsum, isclose, log
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jurymarkets import markets
 from jurymarkets import (
     INDIFFERENT,
     BeliefProfile,
@@ -334,6 +335,8 @@ class TestTaxedEquilibrium:
             result = taxed_equilibrium_finite(beliefs, k)
             assert abs(result.diagnostics.residual) <= 1e-9
             assert result.diagnostics.iterations > 0
+            assert result.diagnostics.inner_iterations > result.diagnostics.iterations
+            assert 0.0 <= result.diagnostics.price_bracket_width <= markets.PRICE_TOLERANCE
             assert result.k == k
             assert 0.0 < result.price < 1.0
 
@@ -378,6 +381,72 @@ class TestTaxedEquilibrium:
         ):
             with pytest.raises(ValueError, match="finite positive k"):
                 call()
+
+
+# Beliefs within 1e-12 of 0 or 1, for the hostile-input fuzz.
+near_edge = st.floats(min_value=5e-324, max_value=1e-12)
+edge_beliefs = st.one_of(near_edge, near_edge.map(lambda x: 1.0 - x)).filter(
+    lambda x: 0.0 < x < 1.0
+)
+hostile_panels = st.one_of(
+    st.lists(edge_beliefs, min_size=1, max_size=1),
+    st.lists(st.one_of(edge_beliefs, st.floats(1e-6, 1.0 - 1e-6)), min_size=1, max_size=6),
+    st.lists(st.one_of(edge_beliefs, st.floats(0.5, 1.0 - 1e-6)), min_size=2, max_size=6).filter(
+        lambda panel: all(x > 0.5 for x in panel)
+    ),
+)
+
+
+class TestTaxedSolverContract:
+    """The taxed solver returns a certified answer or raises; it never returns
+    an unconverged one."""
+
+    TAX_RATES = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e7)
+
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_default_solve_matches_tight_solve(self, n):
+        beliefs = random_beliefs(random.Random(n), n)
+        for k in self.TAX_RATES:
+            default = taxed_equilibrium_finite(beliefs, k)
+            tight = taxed_equilibrium_finite(beliefs, k, price_tol=1e-15, response_tol=1e-15)
+            width = tight.diagnostics.price_bracket_width
+            assert width <= 1e-15 + markets.ROUNDING_ULPS * tight.price, (k, width)
+            assert abs(default.price - tight.price) <= 1e-12, k
+
+    def test_exhausted_newton_steps_raise(self, monkeypatch, example1):
+        _, _, beliefs = example1
+        monkeypatch.setattr(markets, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(BracketingError, match="Newton steps"):
+            taxed_best_response(0.8, 0.45, 3.0)
+        with pytest.raises(BracketingError, match="Newton steps"):
+            taxed_equilibrium_finite(beliefs, 3.0)
+
+    def test_exhausted_price_probes_raise(self, monkeypatch, example1):
+        _, _, beliefs = example1
+        monkeypatch.setattr(markets, "MAX_PRICE_PROBES", 1)
+        with pytest.raises(BracketingError, match="probes"):
+            taxed_equilibrium_finite(beliefs, 3.0)
+
+    @given(hostile_panels, st.floats(min_value=1e-9, max_value=1e7))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_hostile_inputs_converge_or_raise(self, panel, k):
+        try:
+            result = taxed_equilibrium_finite(BeliefProfile(tuple(panel)), k)
+        except (BracketingError, UndefinedPriceError):
+            return
+        p = result.price
+        assert 0.0 < p < 1.0
+        assert result.diagnostics.price_bracket_width <= (
+            markets.PRICE_TOLERANCE + markets.ROUNDING_ULPS * p
+        )
+        for b, sa, sb in zip(panel, result.profile.sA, result.profile.sB):
+            s, bb, pp = (sa, b, p) if sa > 0.0 else (sb, 1.0 - b, 1.0 - p)
+            if s == 0.0:
+                continue
+            # The first-order condition changes sign across the stake.
+            t = 1e-9 * s + 1e-12 * min(1.0, 1.0 / k)
+            assert taxed_foc_residual(max(s - t, 0.0), bb, pp, k) >= 0.0
+            assert taxed_foc_residual(s + t, bb, pp, k) <= 0.0
 
 
 class TestFullInvestmentEquivalence:

@@ -99,6 +99,14 @@ class TestMajority:
             is Decision.TIE
         )
 
+    def test_near_tie_is_read_as_tie(self):
+        # Log-odds weights balance algebraically here, but the computed margin
+        # is -2.2e-16; every decision rule reads it as a tie.
+        votes = VotingProfile((1, 1, 0))
+        weights = weights_log_odds(CompetenceProfile((2 / 3, 2 / 3, 0.8)))
+        assert weighted_margin(votes, weights) != 0.0
+        assert weighted_majority(votes, weights) is Decision.TIE
+
     def test_single_expert_outvotes_low_weights(self):
         votes = VotingProfile((1, 0, 0, 0))
         weights = WeightProfile((0.7, 0.2, 0.2, 0.2))
