@@ -106,11 +106,6 @@ class ExperimentConfig:
     output: str | None
     format: str
 
-    @property
-    def n(self) -> int:
-        agents = self.competences if self.competences is not None else self.beliefs
-        return len(agents)
-
 
 def _parse_agents(
     raw: object,

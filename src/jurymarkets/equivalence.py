@@ -80,12 +80,13 @@ def check_scheme(
 ) -> EquivalenceReport:
     """One commuting-diagram check: a weighted majority vs its paired market.
 
-    Both sides run on the same beliefs.  The log-odds pairing's market is
-    the heavy-damping closed form, binarised on its price's log-odds (a
-    positive multiple of the weighted margin), so agreement is exact.  With
-    a finite k that pairing solves the finite-k taxed market instead;
-    agreement then only tends to hold as k grows, so guaranteed is False.
-    The other pairings ignore k.
+    Both sides run on the same beliefs and are read with the same tie band:
+    the election on its weighted margin, the market on solve_market's
+    offset, which is in the same units.  The log-odds pairing's market is
+    the heavy-damping closed form, so agreement is exact.  With a finite k
+    that pairing solves the finite-k taxed market instead; agreement then
+    only tends to hold as k grows, so guaranteed is False.  The other
+    pairings ignore k.
     """
     weights, kind = PAIRINGS[scheme]
     finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None

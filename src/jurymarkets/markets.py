@@ -241,6 +241,19 @@ def naive_best_response(b: float, p: float):
     return INDIFFERENT, INDIFFERENT
 
 
+def _kelly_signed(b: float, p: float) -> float:
+    """Signed Kelly stake: (b - p) / (1 - p) on A, -(p - b) / p on B."""
+    return (b - p) / (1.0 - p if b > p else p)
+
+
+def _side_investment(signed: float) -> SideInvestment:
+    if signed > 0.0:
+        return SideInvestment("A", signed)
+    if signed < 0.0:
+        return SideInvestment("B", -signed)
+    return SideInvestment(None, 0.0)
+
+
 def kelly_best_response(b: float, p: float) -> SideInvestment:
     """The log-utility optimum: stake the belief-price gap over the odds.
 
@@ -249,11 +262,7 @@ def kelly_best_response(b: float, p: float) -> SideInvestment:
     """
     _check_price(p)
     _check_belief(b)
-    if b > p:
-        return SideInvestment("A", (b - p) / (1.0 - p))
-    if b < p:
-        return SideInvestment("B", (p - b) / p)
-    return SideInvestment(None, 0.0)
+    return _side_investment(_kelly_signed(b, p))
 
 
 def tax_function(x: float, p: float, k: float) -> float:
@@ -361,22 +370,16 @@ def _taxed_stakes_signed(
     return np.where(above, stakes, -stakes), steps
 
 
-def taxed_best_response(
-    b: float, p: float, k: float, tol: float = RESPONSE_TOLERANCE
-) -> SideInvestment:
+def taxed_best_response(b: float, p: float, k: float) -> SideInvestment:
     """Certified Newton root of the taxed first-order condition at price p.
 
-    The stake is within tol times itself, plus a few ulps, of the optimum.
+    The stake is within RESPONSE_TOLERANCE times itself, plus a few ulps, of
+    the optimum.
     """
     _check_price(p)
     _check_belief(b)
     _check_k(k)
-    signed = float(_taxed_stakes_signed(np.array([b]), p, k, tol)[0][0])
-    if signed > 0.0:
-        return SideInvestment("A", signed)
-    if signed < 0.0:
-        return SideInvestment("B", -signed)
-    return SideInvestment(None, 0.0)
+    return _side_investment(float(_taxed_stakes_signed(np.array([b]), p, k)[0][0]))
 
 
 def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestment:
@@ -396,14 +399,8 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
     return SideInvestment(None, 0.0)
 
 
-def _security_residual(profile: InvestmentProfile, p: float) -> float:
-    """Quantity imbalance (1/p) * sum(sA) - (1/(1-p)) * sum(sB)."""
-    return fsum(profile.sA) / p - fsum(profile.sB) / (1.0 - p)
-
-
 def _result(
-    sA: list[float],
-    sB: list[float],
+    signed: list[float],
     price: float,
     kind: MarketKind,
     iterations: int = 0,
@@ -411,16 +408,22 @@ def _result(
     inner_iterations: int = 0,
     price_bracket_width: float = 0.0,
 ) -> EquilibriumResult:
-    profile = InvestmentProfile(tuple(sA), tuple(sB))
-    degenerate = fsum(sA) == 0.0 or fsum(sB) == 0.0
-    residual = 0.0 if degenerate else _security_residual(profile, price)
+    """Package signed stakes (+stake on A, -stake on B) as a result.
+
+    The residual is the quantity imbalance (1/p) * sum(sA) - (1/(1-p)) *
+    sum(sB), reported as 0 when some side carries no stake.
+    """
+    sA = [x if x > 0.0 else 0.0 for x in signed]
+    sB = [-x if x < 0.0 else 0.0 for x in signed]
+    on_a, on_b = fsum(sA), fsum(sB)
+    degenerate = on_a == 0.0 or on_b == 0.0
     return EquilibriumResult(
-        profile=profile,
+        profile=InvestmentProfile(tuple(sA), tuple(sB)),
         price=price,
         kind=kind,
         diagnostics=Diagnostics(
             iterations=iterations,
-            residual=residual,
+            residual=0.0 if degenerate else on_a / price - on_b / (1.0 - price),
             degenerate=degenerate,
             inner_iterations=inner_iterations,
             price_bracket_width=price_bracket_width,
@@ -432,67 +435,39 @@ def _result(
 def naive_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     """Competitive equilibrium of the all-or-nothing market.
 
-    Beliefs are ranked in descending order (ties broken by agent index) and
-    two scans are tried in turn:
-
-    1. a full-investment split: the top i agents stake everything on A and
-       the rest everything on B, which clears at price i/n whenever
-       b_(i) >= i/n >= b_(i+1);
-    2. otherwise a marginal agent whose belief b_(i) falls strictly between
-       (i-1)/n and i/n sits exactly at the price, and her partial stake is
-       solved from the quantity balance; the price is her belief.
+    Beliefs are ranked in descending order, ties broken by agent index, and
+    the crossing index m counts the leading ranks j (from 0) with
+    b_(j) >= (j+1)/n; b_(j) - j/n strictly decreases in j, so those ranks
+    come first.  Agents ranked above m stake everything on A and those
+    below it everything on B.  Beliefs lie inside (0, 1), so m < n.  If
+    b_(m) <= m/n (which needs m >= 1), agent m also goes all-in on B and
+    the market clears at the full split m/n.  Otherwise agent m is
+    marginal: the price is her belief and her partial stake balances the
+    security quantities.
 
     The equilibrium is unique.  A single-agent market is degenerate: there
-    is nobody to trade against, the algorithm yields zero stakes all round,
-    and the price defaults to that agent's belief with the degenerate flag
-    set.
+    is nobody to trade against, her stake is zero, and the price is her
+    belief with the degenerate flag set.
     """
     n = b.n
     order = sorted(range(n), key=lambda i: (-b.b[i], i))
     ranked = [b.b[i] for i in order]
-    sA = [0.0] * n
-    sB = [0.0] * n
-    price: float | None = None
-
-    for i in range(1, n):
-        p = i / n
-        if ranked[i - 1] >= p >= ranked[i]:
-            for j in range(i):
-                sA[j] = 1.0
-            for j in range(i, n):
-                sB[j] = 1.0
-            price = p
-            break
-
-    if price is None:
-        for i in range(1, n + 1):
-            bi = ranked[i - 1]
-            if (i - 1) / n < bi < i / n:
-                for j in range(i - 1):
-                    sA[j] = 1.0
-                for j in range(i, n):
-                    sB[j] = 1.0
-                # Quantity balance at price bi with the marginal agent on A:
-                # (1/bi) * ((i-1) + x) = (1/(1-bi)) * (n-i).
-                x = bi * (n - i) / (1.0 - bi) - (i - 1)
-                if x >= 0.0:
-                    sA[i - 1] = x
-                else:
-                    # She balances the books from the B side instead:
-                    # (1/bi) * (i-1) = (1/(1-bi)) * ((n-i) + x).
-                    sB[i - 1] = (i - 1) * (1.0 - bi) / bi - (n - i)
-                price = bi
-                break
-
-    if price is None:  # pragma: no cover - the two scans exhaust all profiles
-        raise RuntimeError("no clearing configuration found")
-
-    out_A = [0.0] * n
-    out_B = [0.0] * n
+    m = 0
+    while ranked[m] >= (m + 1) / n:
+        m += 1
+    signed = [0.0] * n
     for rank, agent in enumerate(order):
-        out_A[agent] = sA[rank]
-        out_B[agent] = sB[rank]
-    return _result(out_A, out_B, price, MarketKind.NAIVE)
+        signed[agent] = 1.0 if rank < m else -1.0
+    bm = ranked[m]
+    if bm <= m / n:
+        return _result(signed, m / n, MarketKind.NAIVE)
+    # Quantity balance at price bm with agent m on A:
+    # (1/bm) * (m + x) = (1/(1-bm)) * (n-m-1).
+    x = bm * (n - m - 1) / (1.0 - bm) - m
+    # Otherwise she balances the books from the B side instead:
+    # (1/bm) * m = (1/(1-bm)) * ((n-m-1) + x).
+    signed[order[m]] = x if x >= 0.0 else (n - m - 1) - m * (1.0 - bm) / bm
+    return _result(signed, bm, MarketKind.NAIVE)
 
 
 def kelly_equilibrium(b: BeliefProfile) -> EquilibriumResult:
@@ -502,11 +477,7 @@ def kelly_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     the per-agent Kelly gaps at that price.
     """
     price = fsum(b.b) / b.n
-    sA = [0.0] * b.n
-    sB = [0.0] * b.n
-    for i, bi in enumerate(b.b):
-        sA[i], sB[i] = kelly_best_response(bi, price).as_legs()
-    return _result(sA, sB, price, MarketKind.KELLY)
+    return _result([_kelly_signed(bi, price) for bi in b.b], price, MarketKind.KELLY)
 
 
 def taxed_equilibrium_finite(
@@ -589,11 +560,9 @@ def taxed_equilibrium_finite(
         cur = probe(x + (step if abs(step) > delta else (delta if half > 0.0 else -delta)))
 
     price, _, signed = cur
-    sA = [float(x) if x > 0.0 else 0.0 for x in signed]
-    sB = [float(-x) if x < 0.0 else 0.0 for x in signed]
     width = 0.0 if cur[1] == 0.0 else abs(far[0] - price)
     return _result(
-        sA, sB, price, MarketKind.TAXED_FINITE, iterations, k,
+        signed.tolist(), price, MarketKind.TAXED_FINITE, iterations, k,
         inner_iterations=newton_steps, price_bracket_width=width,
     )
 
@@ -619,21 +588,26 @@ def solve_market(
     """Solve one market kind; returns (price, decision offset, result).
 
     The offset is what the market's decision is read from, with the shared
-    tie band: the price's log-odds for the asymptotic taxed market (its
-    natural scale), price - 1/2 for the others.  The asymptotic market has a
-    closed-form price but no finite stakes, so its result is None.  Only the
-    finite taxed market reads k.
+    tie band, so it is in the units of the paired election's weighted
+    margin: n * (p - 1/2) for the Kelly and finite taxed markets (for Kelly
+    it equals the linear-weight margin, since p is the mean belief) and
+    (n/2) * logit(p) for the asymptotic taxed market (the log-odds margin,
+    since logit(p) is the mean log-odds).  The naive price is exact, a
+    belief or a split i/n, so its offset is the exact sign of p - 1/2.  The
+    asymptotic market has a closed-form price but no finite stakes, so its
+    result is None.  Only the finite taxed market reads k.
     """
     if kind is MarketKind.TAXED_ASYMPTOTIC:
         price = taxed_equilibrium_asymptotic(b)
-        return price, log(price / (1.0 - price)), None
+        return price, 0.5 * b.n * log(price / (1.0 - price)), None
     if kind is MarketKind.NAIVE:
         result = naive_equilibrium(b)
-    elif kind is MarketKind.KELLY:
+        return result.price, float((result.price > 0.5) - (result.price < 0.5)), result
+    if kind is MarketKind.KELLY:
         result = kelly_equilibrium(b)
     else:
         result = taxed_equilibrium_finite(b, k)
-    return result.price, result.price - 0.5, result
+    return result.price, b.n * (result.price - 0.5), result
 
 
 def full_investment_equivalence(b: float, p: float) -> tuple[float, float]:

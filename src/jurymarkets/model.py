@@ -117,22 +117,6 @@ def posterior_belief(q_i: float, y_i: str) -> float:
     return q_i if y_i == STATE_A else 1.0 - q_i
 
 
-def binarize(value: float) -> Decision:
-    """Collapse a probability-like value onto {A}, {B}, or a tie at exactly 0.5.
-
-    Comparison against 0.5 is exact: individual beliefs never sit on the
-    fence, but market prices legitimately can, and a price of exactly one
-    half must come out as a tie rather than being nudged to a side.
-    """
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value {value!r} outside [0, 1]")
-    if value > 0.5:
-        return Decision.A
-    if value < 0.5:
-        return Decision.B
-    return Decision.TIE
-
-
 def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfile:
     """Posterior belief of every agent given her competence and signal."""
     if q.n != y.n:
@@ -169,7 +153,7 @@ def profile_probabilities(
 
 
 def enumerate_signal_space(
-    q: CompetenceProfile, state: str, cap: int = ENUMERATION_CAP
+    q: CompetenceProfile, state: str
 ) -> list[tuple[SignalProfile, float]]:
     """All 2**n signal profiles with their probabilities under the given state.
 
@@ -179,8 +163,10 @@ def enumerate_signal_space(
     """
     if state not in STATES:
         raise ValueError(f"state {state!r} must be 'A' or 'B'")
-    if q.n > cap:
-        raise ValueError(f"enumeration over {q.n} agents exceeds the cap of {cap}")
+    if q.n > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration over {q.n} agents exceeds the cap of {ENUMERATION_CAP}"
+        )
     signals = signal_matrix(q.n)
     probs = profile_probabilities(q, signals, state).tolist()
     labels = np.where(signals, STATE_A, STATE_B).tolist()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import inf
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,10 @@ ACCURACY_ORACLE_MAX_AGENTS = 12
 # Stakes are searched strictly below 1: staking everything has log utility
 # minus infinity, so no optimum is lost by stopping just short.
 STAKE_GRID_TOP = 1.0 - 1e-9
+
+# Log-utility grids are argmaxed this many prices at a time, bounding the
+# (prices, agents, stakes) utility array.
+PRICE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,6 @@ def grid_equilibrium_search(
     kind: MarketKind,
     k: float | None = None,
     grid: GridSpec = GridSpec(),
-    price_chunk: int = 64,
 ) -> list[tuple[float, float]]:
     """All price intervals on the grid where the market could clear.
 
@@ -170,8 +174,10 @@ def grid_equilibrium_search(
             "use MarketKind.TAXED_FINITE with a k"
         )
     if kind is MarketKind.TAXED_FINITE:
-        if k is None or k <= 0.0:
-            raise ValueError(f"taxed search needs a positive tax intensity, got k={k!r}")
+        if k is None or not 0.0 < k < inf:  # the chained test also rejects NaN
+            raise ValueError(
+                f"taxed search needs a finite positive tax intensity, got k={k!r}"
+            )
     else:
         k = None
 
@@ -185,8 +191,8 @@ def grid_equilibrium_search(
         s_grid = np.linspace(0.0, STAKE_GRID_TOP, grid.strategy_resolution)
         s_step = float(s_grid[1] - s_grid[0])
         quantities = np.empty((prices.size, beliefs.size))
-        for start in range(0, prices.size, price_chunk):
-            stop = min(start + price_chunk, prices.size)
+        for start in range(0, prices.size, PRICE_CHUNK):
+            stop = min(start + PRICE_CHUNK, prices.size)
             quantities[start:stop] = _grid_best_quantities(
                 beliefs, prices[start:stop], s_grid, kind, k
             )

@@ -72,11 +72,11 @@ def weighted_margin(votes: VotingProfile, weights: WeightProfile) -> float:
     return support - 0.5 * fsum(weights.w)
 
 
-def decision_from_offset(offset: float, tolerance: float = TIE_TOLERANCE) -> Decision:
+def decision_from_offset(offset: float) -> Decision:
     """Ternary sign of a margin-like quantity, with a tie band around zero."""
-    if offset > tolerance:
+    if offset > TIE_TOLERANCE:
         return Decision.A
-    if offset < -tolerance:
+    if offset < -TIE_TOLERANCE:
         return Decision.B
     return Decision.TIE
 
@@ -112,7 +112,8 @@ def weights_log_odds(q: CompetenceProfile) -> WeightProfile:
     """Weights proportional to the log-odds of being right: ln(q_i / (1 - q_i)).
 
     These are the accuracy-maximising weights for independent binary signals.
-    Emitted unnormalised; majority decisions are scale-invariant.
+    Emitted unnormalised; majority decisions are scale-invariant except for
+    margins near TIE_TOLERANCE, whose band is absolute.
     """
     return WeightProfile(tuple(math.log(qi / (1.0 - qi)) for qi in q.q))
 

@@ -24,7 +24,6 @@ from jurymarkets import (
     Decision,
     MarketKind,
     SignalProfile,
-    TIE_TOLERANCE,
     beliefs_from_signals,
     check_all_schemes,
     clearing_price,
@@ -63,7 +62,7 @@ def _elections(q: CompetenceProfile, b: BeliefProfile):
     votes = votes_from_beliefs(b)
     simple = weighted_majority(votes, weights_egalitarian(q.n))
     linear_margin = weighted_margin(votes, weights_linear(q))
-    linear = decision_from_offset(linear_margin, TIE_TOLERANCE)
+    linear = decision_from_offset(linear_margin)
     log_odds = weighted_majority(votes, weights_log_odds(q))
     return simple, linear, log_odds
 
@@ -114,7 +113,7 @@ def test_criterion_02_worked_example_two():
         "naive=0.4 exact": naive.price == 0.4,
         "partial=1/3": abs(partial - 1.0 / 3.0) <= 5e-16,
         "kelly=0.5 exact (tie)": kelly_price == 0.5
-        and decision_from_offset(kelly_price - 0.5, TIE_TOLERANCE) is Decision.TIE,
+        and decision_from_offset(kelly_price - 0.5) is Decision.TIE,
         "taxed sign=A": asym_price > 0.5,
     }
     failed = [name for name, ok in checks.items() if not ok]

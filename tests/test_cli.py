@@ -245,6 +245,27 @@ class TestCheckEquivalenceCommand:
         assert taxed["guaranteed"] is False
         assert taxed["k"] == 0.5
 
+    def test_naive_price_just_above_half_is_not_a_violation(self, tmp_path):
+        # The naive price is the marginal belief 0.5 + 1e-13, read exactly as A.
+        config = tmp_path / "near_tie.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "agents": [
+                        {"competence": 0.9},
+                        {"competence": 0.5000000000001},
+                        {"competence": 0.9},
+                    ],
+                    "signals": ["A", "A", "B"],
+                }
+            )
+        )
+        result = run_cli("check-equivalence", "--config", str(config))
+        assert result.returncode == 0, result.stdout
+        record = json.loads(result.stdout)
+        assert record["violations"] == 0
+        assert all(r["agree"] for r in record["reports"])
+
 
 class TestSweepCommand:
     def test_rejects_json_format(self):

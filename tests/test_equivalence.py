@@ -42,9 +42,6 @@ class TestDecisionFromOffset:
         assert decision_from_offset(TIE_TOLERANCE / 2) is Decision.TIE
         assert decision_from_offset(-TIE_TOLERANCE / 2) is Decision.TIE
 
-    def test_custom_tolerance(self):
-        assert decision_from_offset(0.01, tolerance=0.1) is Decision.TIE
-
 
 class TestWorkedExamples:
     def test_example_1_reports(self, example1):
@@ -96,6 +93,24 @@ class TestWorkedExamples:
             taxed = check_log_odds_taxed(q, y)
             simple = check_simple_naive(q, y)
             assert taxed.election is simple.election
+
+
+class TestMarginUnits:
+    """Paired markets are read in their election's margin units."""
+
+    def test_kelly_offset_is_the_linear_margin(self):
+        # p - 1/2 is 1e-12, inside the tie band; the margin n (p - 1/2) is 4e-12.
+        q = CompetenceProfile((0.6 + 4e-12, 0.6, 0.7, 0.7))
+        report = check_linear_kelly(q, SignalProfile(("A", "B", "A", "B")))
+        assert report.election is Decision.A and report.market is Decision.A
+
+    def test_naive_price_is_read_exactly(self):
+        # The marginal belief 0.5 + 1e-13 is the price; two of three back A.
+        q = CompetenceProfile((0.9, 0.5000000000001, 0.9))
+        reports = check_all_schemes(q, SignalProfile(("A", "A", "B")))
+        assert reports[0].price == 0.5000000000001
+        assert reports[0].election is Decision.A and reports[0].market is Decision.A
+        assert all(r.agree for r in reports)
 
 
 class TestExhaustiveSweeps:

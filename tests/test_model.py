@@ -18,7 +18,6 @@ from jurymarkets import (
     Decision,
     SignalProfile,
     beliefs_from_signals,
-    binarize,
     enumerate_signal_space,
     posterior_belief,
     signal_matrix,
@@ -75,24 +74,12 @@ class TestPosterior:
 
 
 class TestBinarize:
-    def test_above_half_is_a(self):
-        assert binarize(0.5000001) is Decision.A
-
-    def test_below_half_is_b(self):
-        assert binarize(0.4999999) is Decision.B
-
-    def test_exactly_half_is_tie(self):
-        assert binarize(0.5) is Decision.TIE
+    """The decisions a binarised vote, margin or price maps to."""
 
     def test_members_sets(self):
         assert Decision.A.members == frozenset({"A"})
         assert Decision.B.members == frozenset({"B"})
         assert Decision.TIE.members == frozenset({"A", "B"})
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_rejects_outside_unit_interval(self, bad):
-        with pytest.raises(ValueError):
-            binarize(bad)
 
 
 class TestBeliefsFromSignals:

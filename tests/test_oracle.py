@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -115,10 +116,11 @@ class TestLogUtilityGrids:
             )
             assert any(lo <= price <= hi for lo, hi in intervals), (k, price, intervals)
 
-    def test_taxed_needs_k(self, example1):
+    @pytest.mark.parametrize("k", [None, 0.0, -1.0, nan, inf])
+    def test_taxed_needs_k(self, example1, k):
         _, _, beliefs = example1
         with pytest.raises(ValueError, match="k"):
-            grid_equilibrium_search(beliefs, MarketKind.TAXED_FINITE)
+            grid_equilibrium_search(beliefs, MarketKind.TAXED_FINITE, k=k)
 
     def test_asymptotic_kind_rejected(self, example1):
         _, _, beliefs = example1
