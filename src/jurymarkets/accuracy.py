@@ -9,13 +9,14 @@ likely a priori.
 
 Every aggregator is a batch rule: it decides a boolean signal matrix, one
 row per profile, in one call.  Weighted majorities score the whole matrix
-with one matmul; markets are solved row by row by their scalar solvers.
-Exact values decide the full signal space once (2^n profiles, capped at
-n = 12) and score both states from that one decision vector; larger juries
-are estimated by seeded Monte Carlo, which decides each sampled batch the
-same way, with counter-based substreams, so results are reproducible and
-independent of batching.  verify_optimal_weights confronts the log-odds
-weighting with rival weight vectors on exact accuracies.
+with one matmul.  So do markets: each is decided as the weighted majority
+of its stakes at price 1/2, and no price is solved.  Exact values decide
+the full signal space once (2^n profiles, capped at n = 12) and score both
+states from that one decision vector; larger juries are estimated by
+seeded Monte Carlo, which decides each sampled batch the same way, with
+counter-based substreams, so results are reproducible and independent of
+batching.  verify_optimal_weights confronts the log-odds weighting with
+rival weight vectors on exact accuracies.
 """
 
 from __future__ import annotations
@@ -26,20 +27,17 @@ from typing import Callable
 
 import numpy as np
 
-from .equivalence import WEIGHT_SCHEMES
-from .markets import MarketKind, _check_k, solve_market
-from .model import (
-    STATE_A,
-    STATE_B,
-    BeliefProfile,
-    CompetenceProfile,
-    profile_probabilities,
-    signal_matrix,
-)
+from .equivalence import PAIRINGS, WEIGHT_SCHEMES
+from .markets import MarketKind, _check_k, taxed_half_price_weights
+from .model import STATE_A, STATE_B, CompetenceProfile, profile_probabilities, signal_matrix
 from .voting import WeightProfile, decisions_from_offsets
 
 EXACT_MAX_AGENTS = 12
 VERIFY_MAX_AGENTS = 10
+
+# The weights each market other than the finite taxed one decides by (see
+# market_aggregator): its pairing's election weights.
+MARKET_WEIGHTS = {kind: WEIGHT_SCHEMES[scheme] for scheme, kind in PAIRINGS.values()}
 
 MONTE_CARLO_BATCH = 65_536
 # Rows whose dot-product margin lands this close to zero are recomputed
@@ -118,28 +116,30 @@ def fixed_weights_aggregator(name: str, weights: WeightProfile) -> Aggregator:
 
 
 def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
-    """Market-as-aggregator: solve each profile's market and binarise its price.
+    """Market-as-aggregator: the weighted majority of its half-price stakes.
 
-    Each row is solved by the kind's scalar solver and decided on
-    solve_market's offset with the shared tie tolerance.
+    In every market here the A-stakes never rise with the price and the
+    B-stakes never fall, so sign(p* - 1/2) = sign(sum of +-w_i), where w_i
+    is the stake of belief q_i at price 1/2 (a B-signal agent stakes on B
+    what an A-signal agent of the same competence stakes on A).  For the
+    naive, Kelly and asymptotic taxed markets these weights are, up to a
+    positive factor, the paired election's: 1, 2q - 1 and the log-odds.
+    The finite taxed market's come from taxed_half_price_weights, whose
+    margin reads like solve_market's offset n (p* - 1/2) in the tie band.
     """
+    name = f"market_{kind.value}"
     if kind is MarketKind.TAXED_FINITE:
         _check_k(k)
+        name += f"_k={k:g}"
 
-    def decide(q: CompetenceProfile, signals: np.ndarray) -> np.ndarray:
-        against = [1.0 - qi for qi in q.q]
-        offsets = [
-            solve_market(
-                BeliefProfile(tuple(a if s else b for s, a, b in zip(row, q.q, against))),
-                kind,
-                k,
-            )[1]
-            for row in signals.tolist()
-        ]
-        return decisions_from_offsets(np.array(offsets, dtype=float))
+        def weights_fn(q: CompetenceProfile) -> WeightProfile:
+            return WeightProfile(tuple(taxed_half_price_weights(np.array(q.q), k).tolist()))
 
-    name = f"market_{kind.value}" + (f"_k={k:g}" if kind is MarketKind.TAXED_FINITE else "")
-    return Aggregator(name=name, decide=decide)
+    else:
+        weights_fn = MARKET_WEIGHTS[kind]
+    return Aggregator(
+        name=name, decide=lambda q, signals: _majority_decisions(signals, weights_fn(q))
+    )
 
 
 def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:
@@ -201,9 +201,10 @@ def monte_carlo_accuracy(
 
     The state is drawn fair, signals per competence, and each batch of
     sampled profiles is decided in one decide call and scored as in
-    exact_accuracy; markets are solved per row inside that call.  Batches
-    use counter-based substreams keyed by (seed, batch index), so the
-    estimate is byte-identical however the batches are scheduled.
+    exact_accuracy; markets are decided there by their half-price weights,
+    with no price solved.  Batches use counter-based substreams keyed by
+    (seed, batch index), so the estimate is byte-identical however the
+    batches are scheduled.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")

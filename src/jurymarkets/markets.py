@@ -230,7 +230,8 @@ def naive_best_response(b: float, p: float):
     Returns (a_side, b_side).  Expected wealth is linear in the stake, so
     each side's optimum is all ({1.0}) or nothing ({0.0}); at b == p both
     securities are fair bets and every stake is optimal, flagged by the
-    INDIFFERENT marker.
+    INDIFFERENT marker.  The A-stake is non-increasing in p and the B-stake
+    non-decreasing: all on A below the belief, all on B above it.
     """
     _check_price(p)
     _check_belief(b)
@@ -258,7 +259,8 @@ def kelly_best_response(b: float, p: float) -> SideInvestment:
     """The log-utility optimum: stake the belief-price gap over the odds.
 
     (b - p) / (1 - p) on A when the price looks cheap, (p - b) / p on B when
-    it looks dear, nothing at b == p.
+    it looks dear, nothing at b == p.  The A-stake is non-increasing in p
+    (its derivative is -(1-b)/(1-p)^2) and the B-stake non-decreasing (b/p^2).
     """
     _check_price(p)
     _check_belief(b)
@@ -374,7 +376,9 @@ def taxed_best_response(b: float, p: float, k: float) -> SideInvestment:
     """Certified Newton root of the taxed first-order condition at price p.
 
     The stake is within RESPONSE_TOLERANCE times itself, plus a few ulps, of
-    the optimum.
+    the optimum.  The A-stake is non-increasing in p and the B-stake
+    non-decreasing: raising p lowers the first-order condition at every stake
+    (a = k p/(1-p) grows), so its root moves down.
     """
     _check_price(p)
     _check_belief(b)
@@ -608,6 +612,23 @@ def solve_market(
     else:
         result = taxed_equilibrium_finite(b, k)
     return result.price, b.n * (result.price - 0.5), result
+
+
+def taxed_half_price_weights(q: np.ndarray, k: float) -> np.ndarray:
+    """Taxed stakes w of beliefs q at price 1/2, scaled to read as n (p* - 1/2).
+
+    For competences q, the market of a signal profile has G(1/2) = (sum of w
+    over A-signal agents) - (sum of w) / 2, where G(p) = (1-p) * sum of
+    A-stakes - p * sum of B-stakes is what the solver's Brent search zeroes
+    (a B-signal agent stakes on B what an A-signal agent stakes on A).
+    Implicit differentiation of the first-order condition gives
+    S = -G'(1/2) = sum of w + 2 (1-q) e^(kw) / (k q (1-w) + 1), so
+    p* - 1/2 = G(1/2) / S to first order, and w is returned times n / S.
+    As k -> 0, w -> 2q - 1 and S -> n.
+    """
+    w = _taxed_stakes_signed(q, 0.5, k)[0]
+    slope = fsum((w + 2.0 * (1.0 - q) * np.exp(k * w) / (k * q * (1.0 - w) + 1.0)).tolist())
+    return w * (q.size / slope)
 
 
 def full_investment_equivalence(b: float, p: float) -> tuple[float, float]:

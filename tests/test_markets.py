@@ -7,7 +7,7 @@ from math import fsum, isclose, log
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jurymarkets import markets
@@ -15,19 +15,26 @@ from jurymarkets import (
     INDIFFERENT,
     BeliefProfile,
     BracketingError,
+    CompetenceProfile,
+    Decision,
     InvestmentProfile,
     MarketKind,
+    SignalProfile,
     UndefinedPriceError,
+    beliefs_from_signals,
     clearing_price,
+    decision_from_offset,
     full_investment_equivalence,
     grid_equilibrium_search,
     kelly_best_response,
     kelly_equilibrium,
     kelly_utility,
+    market_aggregator,
     naive_best_response,
     naive_equilibrium,
     naive_utility,
     payout,
+    solve_market,
     tax_function,
     taxed_best_response,
     taxed_best_response_asymptotic,
@@ -466,9 +473,8 @@ class TestTaxedSolverContract:
         with pytest.raises(BracketingError, match="probes"):
             taxed_equilibrium_finite(beliefs, 3.0)
 
-    @given(hostile_panels, st.floats(min_value=1e-9, max_value=1e7))
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-    def test_hostile_inputs_converge_or_raise(self, panel, k):
+    @staticmethod
+    def assert_certified_or_raised(panel: list[float], k: float) -> None:
         try:
             result = taxed_equilibrium_finite(BeliefProfile(tuple(panel)), k)
         except (BracketingError, UndefinedPriceError):
@@ -486,6 +492,27 @@ class TestTaxedSolverContract:
             t = 1e-9 * s + 1e-12 * min(1.0, 1.0 / k)
             assert taxed_foc_residual(max(s - t, 0.0), bb, pp, k) >= 0.0
             assert taxed_foc_residual(s + t, bb, pp, k) <= 0.0
+
+    @given(hostile_panels, st.floats(min_value=1e-9, max_value=1e7))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_hostile_inputs_converge_or_raise(self, panel, k):
+        self.assert_certified_or_raised(panel, k)
+
+    @given(
+        hostile_panels,
+        st.integers(min_value=1_000, max_value=100_000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=1e-9, max_value=1e7),
+    )
+    @example(hostile=[1e-12, 1.0 - 1e-12], n=100_000, seed=0, k=1e7)
+    @example(hostile=[0.5 + 1e-16], n=100_000, seed=1, k=1e-9)
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_large_hostile_panels_converge_or_raise(self, hostile, n, seed, k):
+        # Hostile beliefs scattered through n = 1e3..1e5 ordinary ones.
+        rng = np.random.default_rng(seed)
+        panel = rng.uniform(1e-6, 1.0 - 1e-6, n)
+        panel[rng.choice(n, len(hostile), replace=False)] = hostile
+        self.assert_certified_or_raised(panel.tolist(), k)
 
 
 class TestFullInvestmentEquivalence:
@@ -529,3 +556,98 @@ class TestDecisionConsistency:
         assert naive_equilibrium(beliefs).price < 0.5
         assert kelly_equilibrium(beliefs).price > 0.5
         assert taxed_equilibrium_asymptotic(beliefs) > 0.5
+
+
+class TestBestResponseMonotonicity:
+    """A-stakes never rise with the price and B-stakes never fall, the premise
+    of deciding each market by its stakes at price 1/2."""
+
+    PRICES = np.linspace(0.005, 0.995, 199).tolist()
+
+    @staticmethod
+    def assert_monotone(legs: list[tuple[float, float]], rel: float = 0.0) -> None:
+        a, b = np.array(legs).T
+        assert (np.diff(a) <= rel * a[:-1]).all(), a
+        assert (np.diff(b) >= -rel * b[1:]).all(), b
+
+    def test_on_price_grids(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            belief, k = rng.uniform(0.02, 0.98), 10.0 ** rng.uniform(-6.0, 7.0)
+            naive = [naive_best_response(belief, p) for p in self.PRICES if p != belief]
+            self.assert_monotone([(next(iter(a)), next(iter(b))) for a, b in naive])
+            self.assert_monotone([kelly_best_response(belief, p).as_legs() for p in self.PRICES])
+            self.assert_monotone(
+                [taxed_best_response(belief, p, k).as_legs() for p in self.PRICES],
+                rel=markets.RESPONSE_TOLERANCE,
+            )
+
+
+DECISION_CODES = {Decision.A: 1, Decision.B: -1, Decision.TIE: 0}
+
+# Competence panels with signals whose markets clear at or next to 1/2.
+NEAR_TIES = [
+    ((0.7, 0.7), "AB"),
+    ((0.6, 0.9, 0.6, 0.9), "ABBA"),
+    ((2 / 3, 2 / 3, 0.8), "AAB"),
+    ((0.9, 0.5000000000001, 0.9), "AAB"),
+    ((0.6 + 4e-12, 0.6, 0.7, 0.7), "ABAB"),
+    ((0.55,) * 6, "AAABBB"),
+]
+
+
+def half_price_panels(seed: int):
+    """(competences, signals): random, from the belief lattices, and near ties."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 11)
+        yield (
+            tuple(rng.uniform(0.51, 0.99) for _ in range(n)),
+            "".join(rng.choice("AB") for _ in range(n)),
+        )
+    for b in lattice_panels(seed, per_n=2):
+        if 0.5 not in b:
+            yield tuple(max(x, 1.0 - x) for x in b), "".join("A" if x > 0.5 else "B" for x in b)
+    for _ in range(4):
+        yield from NEAR_TIES
+
+
+def solved_offset(q: tuple[float, ...], y: str, kind: MarketKind, k: float) -> float:
+    beliefs = beliefs_from_signals(CompetenceProfile(q), SignalProfile(tuple(y)))
+    return solve_market(beliefs, kind, k)[1]
+
+
+class TestHalfPriceDecisions:
+    """Every market decides as the weighted majority of its stakes at 1/2."""
+
+    @pytest.mark.parametrize("kind", list(MarketKind))
+    def test_half_price_decision_is_the_solved_decision(self, kind):
+        rng = random.Random(17)
+        for q, y in half_price_panels(seed=3):
+            k = 10.0 ** rng.uniform(-6.0, 7.0)
+            agg = market_aggregator(kind, k if kind is MarketKind.TAXED_FINITE else None)
+            decided = agg.decide(CompetenceProfile(q), np.array([[s == "A" for s in y]]))
+            solved = decision_from_offset(solved_offset(q, y, kind, k))
+            assert int(decided[0]) == DECISION_CODES[solved], (q, y, k)
+
+    def test_scaled_taxed_margin_is_n_times_the_price_offset(self):
+        rng = random.Random(19)
+        panels = list(half_price_panels(seed=4))
+        for _ in range(40):  # mirrored pairs, one competence nudged
+            pairs = [rng.uniform(0.51, 0.99) for _ in range(rng.randint(1, 5))]
+            nudged = pairs[0] + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -3.0)
+            panels.append(((nudged, *pairs[1:], *pairs), "A" * len(pairs) + "B" * len(pairs)))
+        checked = 0
+        for q, y in panels:
+            k = 10.0 ** rng.uniform(-6.0, 7.0)
+            offset = solved_offset(q, y, MarketKind.TAXED_FINITE, k)
+            if abs(offset) >= 0.02:
+                continue
+            w = markets.taxed_half_price_weights(np.array(q), k)
+            margin = fsum(w[np.array([s == "A" for s in y])].tolist()) - 0.5 * fsum(w.tolist())
+            # n * PRICE_TOLERANCE is how far the solved offset itself may be off.
+            assert abs(margin - offset) <= 1e-3 * abs(offset) + len(q) * markets.PRICE_TOLERANCE, (
+                q, y, k, margin, offset,
+            )
+            checked += 1
+        assert checked >= 50

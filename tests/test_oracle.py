@@ -14,6 +14,9 @@ from jurymarkets import (
     Decision,
     GridSpec,
     MarketKind,
+    SignalProfile,
+    beliefs_from_signals,
+    decision_from_offset,
     exact_accuracy,
     exhaustive_accuracy_oracle,
     exhaustive_state_conditional_accuracies,
@@ -22,6 +25,7 @@ from jurymarkets import (
     majority_aggregator,
     market_aggregator,
     naive_equilibrium,
+    solve_market,
     taxed_equilibrium_finite,
 )
 from tests.conftest import random_beliefs, random_competences
@@ -143,6 +147,13 @@ def scalar_decider(agg, q: CompetenceProfile):
     return lambda y: DECISION_CODES[int(agg.decide(q, np.array([[s == "A" for s in y]]))[0])]
 
 
+def solved_market_decider(q: CompetenceProfile, kind: MarketKind, k: float | None = None):
+    """Decides one profile from its solved clearing price, not by the aggregator."""
+    return lambda y: decision_from_offset(
+        solve_market(beliefs_from_signals(q, SignalProfile(y)), kind, k)[1]
+    )
+
+
 def simple_majority_decider(q: CompetenceProfile):
     return scalar_decider(majority_aggregator("egalitarian"), q)
 
@@ -175,22 +186,28 @@ class TestAccuracyOracle:
             assert abs(qa - qb) <= 1e-12
 
     def test_matches_library_exact_accuracy(self):
+        # Markets are decided here from solved prices, so the oracle audits
+        # the aggregator's half-price weights against the solvers.
         rng = random.Random(6)
         panels = [random_competences(rng, rng.randint(1, 6)) for _ in range(10)]
         panels.append(CompetenceProfile((2 / 3, 2 / 3, 0.8)))  # near-tie panel
+        markets = [
+            (MarketKind.NAIVE, None),
+            (MarketKind.KELLY, None),
+            (MarketKind.TAXED_ASYMPTOTIC, None),
+            (MarketKind.TAXED_FINITE, 10.0),
+        ]
         for q in panels:
-            aggregators = [
-                majority_aggregator(scheme) for scheme in ("egalitarian", "linear", "log_odds")
+            cases = [
+                (majority_aggregator(scheme), scalar_decider(majority_aggregator(scheme), q))
+                for scheme in ("egalitarian", "linear", "log_odds")
             ]
-            if q.n <= 4:
-                aggregators += [
-                    market_aggregator(MarketKind.NAIVE),
-                    market_aggregator(MarketKind.KELLY),
-                    market_aggregator(MarketKind.TAXED_ASYMPTOTIC),
-                    market_aggregator(MarketKind.TAXED_FINITE, 10.0),
-                ]
-            for agg in aggregators:
-                oracle_value = exhaustive_accuracy_oracle(q, scalar_decider(agg, q))
+            cases += [
+                (market_aggregator(kind, k), solved_market_decider(q, kind, k))
+                for kind, k in markets
+            ]
+            for agg, decider in cases:
+                oracle_value = exhaustive_accuracy_oracle(q, decider)
                 assert oracle_value == pytest.approx(
                     exact_accuracy(agg, q).value, abs=1e-12
                 ), (q, agg.name)
