@@ -1,23 +1,26 @@
 """Command-line front end for the election/market toolkit.
 
-Subcommands:
+Subcommands, with the output formats each emits (the first is the default):
 
-* ``solve``             — competitive-equilibrium price and per-agent stakes
-* ``vote``              — weighted-majority election on binarised beliefs
-* ``check-equivalence`` — election vs market commuting-diagram reports
-* ``accuracy``          — exact or Monte Carlo truth-tracking accuracy
-* ``sweep-k``           — tax-intensity sweep emitting convergence data
-* ``verify``            — independent grid-oracle cross-check of the solvers
+* ``solve``             — competitive-equilibrium price and per-agent stakes (JSON, CSV)
+* ``vote``              — weighted-majority election on binarised beliefs (JSON, CSV)
+* ``check-equivalence`` — election vs market commuting-diagram reports (JSON, CSV)
+* ``accuracy``          — exact or Monte Carlo truth-tracking accuracy (JSON, CSV)
+* ``sweep-k``           — tax-intensity sweep emitting convergence data (CSV only)
+* ``verify``            — independent grid-oracle cross-check of the solvers (JSON, CSV)
 
 Experiments are described by a JSON config file (agents as competences or
 beliefs, optional signals, market kind, weight scheme, seed, trials);
 command-line flags override config fields.  Output is deterministic JSON
 or CSV — identical inputs produce byte-identical bytes — written to stdout
-or ``--output``.
+or ``--output``.  ``COMMANDS`` is the one table of subcommands: every handler
+returns its status, JSON record and CSV table, and ``main`` alone picks the
+format and writes the bytes.
 
-Exit codes: 0 success; 1 invalid config or arguments; 2 solver failure or
-oracle contradiction; 3 a guaranteed election/market equivalence was
-violated.
+Exit codes: 0 success; 1 invalid config or arguments, a format the command
+does not emit, or an output file that cannot be opened or written
+(``error: cannot write output ...``); 2 solver failure or oracle
+contradiction; 3 a guaranteed election/market equivalence was violated.
 """
 
 from __future__ import annotations
@@ -27,22 +30,18 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, log
+from typing import Callable, Iterable
 
 from .accuracy import (
     EXACT_MAX_AGENTS,
-    Aggregator,
     exact_accuracy,
     majority_aggregator,
     market_aggregator,
     monte_carlo_accuracy,
 )
-from .equivalence import (
-    WEIGHT_SCHEMES,
-    EquivalenceReport,
-    check_all_schemes,
-)
+from .equivalence import WEIGHT_SCHEMES, check_all_schemes
 from .markets import (
     BracketingError,
     MarketKind,
@@ -148,6 +147,11 @@ def _parse_agents(
     return None, tuple(beliefs)
 
 
+def _is_real(value: object) -> bool:
+    """A JSON number; booleans are ints to Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_config(
     data: dict,
     overrides: argparse.Namespace | None = None,
@@ -170,10 +174,10 @@ def parse_config(
     n = len(competences) if competences is not None else len(beliefs)
 
     prior = data.get("prior", 0.5)
-    if prior != 0.5:
+    if not _is_real(prior) or prior != 0.5:
         raise ConfigError(f"prior={prior!r} is not supported; the model fixes prior=0.5")
     endowment = data.get("endowment", 1.0)
-    if endowment != 1.0:
+    if not _is_real(endowment) or endowment != 1.0:
         raise ConfigError(
             f"endowment={endowment!r} is not supported; the model fixes endowment=1"
         )
@@ -208,7 +212,7 @@ def parse_config(
 
     k = pick("k")
     if k is not None:
-        if not isinstance(k, (int, float)) or isinstance(k, bool) or not 0.0 < k < inf:
+        if not _is_real(k) or not 0.0 < k < inf:
             raise ConfigError(f"k={k!r} must be a finite positive number")
         k = float(k)
         if market is not None and market != MarketKind.TAXED_FINITE.value:
@@ -233,6 +237,8 @@ def parse_config(
         raise ConfigError(f"trials={trials!r} must be a positive integer")
 
     output = pick("output")
+    if output is not None and (not isinstance(output, str) or not output):
+        raise ConfigError(f"output={output!r} must be a non-empty path string")
     fmt = pick("format", default_format)
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format={fmt!r} must be 'json' or 'csv'")
@@ -301,7 +307,7 @@ def _require_k(cfg: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# CSV serialization
 
 
 def _csv_cell(value: object) -> str:
@@ -314,7 +320,7 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
+def _csv_text(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -323,72 +329,62 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buffer.getvalue()
 
 
-def _json_text(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Every handler takes the validated config and the parsed arguments and
+# returns (status, JSON record, CSV header, CSV rows).  The rows are
+# consumed only when CSV is emitted, so a handler may return them lazily.
+
+Output = tuple[int, dict | None, tuple[str, ...], Iterable[tuple]]
 
 
-def cmd_solve(cfg: ExperimentConfig) -> tuple[int, str]:
+def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     kind = _require_market(cfg, "solve")
     k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
     price, offset, result = solve_market(beliefs, kind, k)
     if result is None:  # taxed_asymptotic: price only, no finite stakes
-        legs = [(None, 0.0, 0.0, 0.0)] * beliefs.n
+        stakes = [(0.0, 0.0)] * beliefs.n
         residual, iterations, degenerate = 0.0, 0, False
     else:
-        legs = []
-        for sa, sb in zip(result.profile.sA, result.profile.sB):
-            side = "A" if sa > 0.0 else "B" if sb > 0.0 else None
-            legs.append((side, sa if sa > 0.0 else sb, sa, sb))
+        stakes = zip(result.profile.sA, result.profile.sB)
         residual = result.diagnostics.residual
         iterations = result.diagnostics.iterations
         degenerate = result.diagnostics.degenerate
-    decision = decision_from_offset(offset)
+    decision = str(decision_from_offset(offset))
 
     agents = [
-        {"agent": i, "belief": b, "side": side, "fraction": frac, "sA": sa, "sB": sb}
-        for i, (b, (side, frac, sa, sb)) in enumerate(zip(beliefs.b, legs))
+        {"agent": i, "belief": b, "side": "A" if sa > 0.0 else "B" if sb > 0.0 else None,
+         "fraction": sa if sa > 0.0 else sb, "sA": sa, "sB": sb}
+        for i, (b, (sa, sb)) in enumerate(zip(beliefs.b, stakes))
     ]
-    if cfg.format == "json":
-        record = {
-            "command": "solve",
-            "market": kind.value,
-            "k": k,
-            "price": price,
-            "decision": str(decision),
-            "clearing_residual": residual,
-            "iterations": iterations,
-            "degenerate": degenerate,
-            "agents": agents,
-        }
-        return EXIT_OK, _json_text(record)
+    record = {
+        "command": "solve",
+        "market": kind.value,
+        "k": k,
+        "price": price,
+        "decision": decision,
+        "clearing_residual": residual,
+        "iterations": iterations,
+        "degenerate": degenerate,
+        "agents": agents,
+    }
     header = (
         "agent", "belief", "side", "fraction", "market", "k", "price",
         "decision", "clearing_residual", "iterations", "degenerate",
     )
-    rows = [
+    rows = (  # lazy: one row per agent, and n may be large
         (
             a["agent"], a["belief"], a["side"], a["fraction"], kind.value, k,
-            price, str(decision), residual, iterations, degenerate,
+            price, decision, residual, iterations, degenerate,
         )
         for a in agents
-    ]
-    return EXIT_OK, _csv_text(header, rows)
+    )
+    return EXIT_OK, record, header, rows
 
 
-def cmd_vote(cfg: ExperimentConfig) -> tuple[int, str]:
+def cmd_vote(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     scheme = cfg.weights or "egalitarian"
     beliefs = _config_beliefs(cfg)
     if scheme == "egalitarian":  # the one scheme belief agents can vote under
@@ -397,85 +393,64 @@ def cmd_vote(cfg: ExperimentConfig) -> tuple[int, str]:
         weights = WEIGHT_SCHEMES[scheme](_require_competences(cfg, f"weights={scheme}"))
     votes = votes_from_beliefs(beliefs)
     margin = weighted_margin(votes, weights)
-    decision = decision_from_offset(margin)
-    if cfg.format == "json":
-        record = {
-            "command": "vote",
-            "weights_scheme": scheme,
-            "weights": list(weights.w),
-            "votes": list(votes.v),
-            "weighted_margin": margin,
-            "decision": str(decision),
-        }
-        return EXIT_OK, _json_text(record)
+    decision = str(decision_from_offset(margin))
+    record = {
+        "command": "vote",
+        "weights_scheme": scheme,
+        "weights": list(weights.w),
+        "votes": list(votes.v),
+        "weighted_margin": margin,
+        "decision": decision,
+    }
     header = ("agent", "belief", "vote", "weight", "scheme", "weighted_margin", "decision")
     rows = [
-        (i, b, v, w, scheme, margin, str(decision))
+        (i, b, v, w, scheme, margin, decision)
         for i, (b, v, w) in enumerate(zip(beliefs.b, votes.v, weights.w))
     ]
-    return EXIT_OK, _csv_text(header, rows)
+    return EXIT_OK, record, header, rows
 
 
-def _report_record(report: EquivalenceReport, signals: tuple[str, ...]) -> dict:
-    return {
-        "scheme": report.scheme.value,
-        "signals": "".join(signals),
-        "election": str(report.election),
-        "market": str(report.market),
-        "agree": report.agree,
-        "guaranteed": report.guaranteed,
-        "price": report.price,
-        "weighted_margin": report.weighted_margin,
-        "k": report.k,
-    }
-
-
-def cmd_check_equivalence(cfg: ExperimentConfig, exhaustive: bool) -> tuple[int, str]:
+def cmd_check_equivalence(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     q = _require_competences(cfg, "check-equivalence")
-    if exhaustive:
+    if args.exhaustive:
         signal_sets = [y for y, _ in enumerate_signal_space(q, STATE_A)]
     else:
         signal_sets = [_require_signals(cfg, "check-equivalence without --exhaustive")]
 
-    records = []
-    violations = 0
-    for signals in signal_sets:
-        for report in check_all_schemes(q, signals, cfg.k):
-            records.append(_report_record(report, signals.y))
-            if report.guaranteed and not report.agree:
-                violations += 1
-
-    status = EXIT_EQUIVALENCE if violations else EXIT_OK
-    if cfg.format == "json":
-        record = {
-            "command": "check_equivalence",
-            "exhaustive": exhaustive,
-            "violations": violations,
-            "reports": records,
-        }
-        return status, _json_text(record)
     header = (
         "scheme", "signals", "election", "market", "agree", "guaranteed",
         "price", "weighted_margin", "k",
     )
-    rows = [tuple(r[col] for col in header) for r in records]
-    return status, _csv_text(header, rows)
+    rows = []
+    violations = 0
+    for signals in signal_sets:
+        for r in check_all_schemes(q, signals, cfg.k):
+            rows.append(
+                (r.scheme.value, "".join(signals.y), str(r.election), str(r.market),
+                 r.agree, r.guaranteed, r.price, r.weighted_margin, r.k)
+            )
+            if r.guaranteed and not r.agree:
+                violations += 1
+
+    record = {
+        "command": "check_equivalence",
+        "exhaustive": args.exhaustive,
+        "violations": violations,
+        "reports": [dict(zip(header, row)) for row in rows],
+    }
+    return EXIT_EQUIVALENCE if violations else EXIT_OK, record, header, rows
 
 
-def _accuracy_aggregators(cfg: ExperimentConfig) -> list[Aggregator]:
+def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
+    q = _require_competences(cfg, "accuracy")
     schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEMES)
     aggregators = [majority_aggregator(s) for s in schemes]
     if cfg.market is not None:
         kind = MarketKind(cfg.market)
         k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
         aggregators.append(market_aggregator(kind, k))
-    return aggregators
-
-
-def cmd_accuracy(cfg: ExperimentConfig) -> tuple[int, str]:
-    q = _require_competences(cfg, "accuracy")
     estimates = []
-    for agg in _accuracy_aggregators(cfg):
+    for agg in aggregators:
         if cfg.trials is not None:
             estimates.append(monte_carlo_accuracy(agg, q, cfg.trials, cfg.seed))
         elif q.n <= EXACT_MAX_AGENTS:
@@ -485,29 +460,14 @@ def cmd_accuracy(cfg: ExperimentConfig) -> tuple[int, str]:
                 f"{q.n} agents exceed the exact-enumeration cap "
                 f"({EXACT_MAX_AGENTS}); pass trials for Monte Carlo"
             )
-    if cfg.format == "json":
-        record = {
-            "command": "accuracy",
-            "estimates": [
-                {
-                    "aggregator": e.aggregator,
-                    "method": e.method,
-                    "value": e.value,
-                    "tie_mass": e.tie_mass,
-                    "trials": e.trials,
-                    "std_error": e.std_error,
-                    "seed": e.seed,
-                }
-                for e in estimates
-            ],
-        }
-        return EXIT_OK, _json_text(record)
+
     header = ("aggregator", "method", "value", "tie_mass", "trials", "std_error", "seed")
     rows = [
         (e.aggregator, e.method, e.value, e.tie_mass, e.trials, e.std_error, e.seed)
         for e in estimates
     ]
-    return EXIT_OK, _csv_text(header, rows)
+    record = {"command": "accuracy", "estimates": [dict(zip(header, row)) for row in rows]}
+    return EXIT_OK, record, header, rows
 
 
 def _parse_k_list(text: str | None) -> tuple[float, ...]:
@@ -522,9 +482,8 @@ def _parse_k_list(text: str | None) -> tuple[float, ...]:
     return values
 
 
-def cmd_sweep_k(cfg: ExperimentConfig, k_list: tuple[float, ...]) -> tuple[int, str]:
-    if cfg.format != "csv":
-        raise ConfigError("sweep-k emits CSV only; pass --format csv or omit --format")
+def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
+    k_list = _parse_k_list(args.k_list)
     beliefs = _config_beliefs(cfg)
     asymptotic_price = taxed_equilibrium_asymptotic(beliefs)
     log_odds = [log(b / (1.0 - b)) for b in beliefs.b]
@@ -553,11 +512,11 @@ def cmd_sweep_k(cfg: ExperimentConfig, k_list: tuple[float, ...]) -> tuple[int, 
             )
 
     if errors:
-        return EXIT_OK, _csv_text(SWEEP_COLUMNS + ("error",), rows)
-    return EXIT_OK, _csv_text(SWEEP_COLUMNS, [row[:-1] for row in rows])
+        return EXIT_OK, None, SWEEP_COLUMNS + ("error",), rows
+    return EXIT_OK, None, SWEEP_COLUMNS, [row[:-1] for row in rows]
 
 
-def cmd_verify(cfg: ExperimentConfig) -> tuple[int, str]:
+def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     if beliefs.n > GRID_ORACLE_MAX_AGENTS:
         raise ConfigError(
@@ -571,7 +530,6 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, str]:
             kinds.append(MarketKind.TAXED_FINITE)
 
     checks = []
-    all_ok = True
     for kind in kinds:
         if kind is MarketKind.TAXED_ASYMPTOTIC:
             raise ConfigError(
@@ -583,8 +541,6 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, str]:
         intervals = grid_equilibrium_search(beliefs, kind, k)
         contained = any(lo <= result.price <= hi for lo, hi in intervals)
         unique = len(intervals) == 1 if kind is MarketKind.NAIVE else None
-        ok = contained and (unique is not False)
-        all_ok = all_ok and ok
         checks.append(
             {
                 "market": kind.value,
@@ -593,35 +549,61 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, str]:
                 "intervals": [[lo, hi] for lo, hi in intervals],
                 "contained": contained,
                 "unique": unique,
-                "ok": ok,
+                "ok": contained and (unique is not False),
             }
         )
 
-    status = EXIT_OK if all_ok else EXIT_SOLVER
-    if cfg.format == "json":
-        return status, _json_text({"command": "verify", "ok": all_ok, "checks": checks})
+    all_ok = all(c["ok"] for c in checks)
     header = (
         "market", "k", "price", "interval_low", "interval_high",
         "contained", "unique", "ok",
     )
-    rows = []
-    for c in checks:
-        if c["intervals"]:
-            for lo, hi in c["intervals"]:
-                rows.append(
-                    (c["market"], c["k"], c["price"], lo, hi,
-                     c["contained"], c["unique"], c["ok"])
-                )
-        else:
-            rows.append(
-                (c["market"], c["k"], c["price"], None, None,
-                 c["contained"], c["unique"], c["ok"])
-            )
-    return status, _csv_text(header, rows)
+    rows = [  # one row per oracle interval; a check with none still gets a row
+        (c["market"], c["k"], c["price"], lo, hi, c["contained"], c["unique"], c["ok"])
+        for c in checks
+        for lo, hi in c["intervals"] or [(None, None)]
+    ]
+    record = {"command": "verify", "ok": all_ok, "checks": checks}
+    return EXIT_OK if all_ok else EXIT_SOLVER, record, header, rows
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch
+# The command table, argument parsing and the one emitter
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: handler, help text, formats (first is the default), extra flags."""
+
+    handler: Callable[[ExperimentConfig, argparse.Namespace], Output]
+    help: str
+    formats: tuple[str, ...] = ("json", "csv")
+    flags: dict[str, dict] = field(default_factory=dict)  # flag -> add_argument options
+
+
+COMMANDS: dict[str, Command] = {
+    "solve": Command(cmd_solve, "solve a market for its competitive-equilibrium price"),
+    "vote": Command(cmd_vote, "run a weighted-majority election on binarised beliefs"),
+    "check-equivalence": Command(
+        cmd_check_equivalence,
+        "compare election and market decisions",
+        flags={"--exhaustive": dict(
+            action="store_true",
+            help="sweep all 2^n signal profiles instead of the configured one",
+        )},
+    ),
+    "accuracy": Command(cmd_accuracy, "estimate truth-tracking accuracy"),
+    "sweep-k": Command(
+        cmd_sweep_k,
+        "sweep the tax intensity and emit convergence data",
+        formats=("csv",),
+        flags={"--k-list": dict(
+            help="comma-separated tax intensities "
+            f"(default {','.join(str(k) for k in DEFAULT_K_SWEEP)})",
+        )},
+    ),
+    "verify": Command(cmd_verify, "cross-check solvers against the brute-force grid oracle"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -651,56 +633,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted-majority elections and information-market equilibria.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for name, text in (
-        ("solve", "solve a market for its competitive-equilibrium price"),
-        ("vote", "run a weighted-majority election on binarised beliefs"),
-        ("check-equivalence", "compare election and market decisions"),
-        ("accuracy", "estimate truth-tracking accuracy"),
-        ("sweep-k", "sweep the tax intensity and emit convergence data"),
-        ("verify", "cross-check solvers against the brute-force grid oracle"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         _add_shared_flags(p)
-        if name == "check-equivalence":
-            p.add_argument(
-                "--exhaustive",
-                action="store_true",
-                help="sweep all 2^n signal profiles instead of the configured one",
-            )
-        if name == "sweep-k":
-            p.add_argument(
-                "--k-list",
-                help="comma-separated tax intensities "
-                f"(default {','.join(str(k) for k in DEFAULT_K_SWEEP)})",
-            )
+        for flag, options in command.flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    default_format = "csv" if args.command == "sweep-k" else "json"
+    command = COMMANDS[args.command]
+    # Call the module's current binding of the handler, so a wrapper installed
+    # over it (a profiler's span, a test double) is the one that runs.
+    handler = globals()[command.handler.__name__]
     try:
-        cfg = load_config(args.config, args, default_format)
-        if args.command == "solve":
-            status, text = cmd_solve(cfg)
-        elif args.command == "vote":
-            status, text = cmd_vote(cfg)
-        elif args.command == "check-equivalence":
-            status, text = cmd_check_equivalence(cfg, args.exhaustive)
-        elif args.command == "accuracy":
-            status, text = cmd_accuracy(cfg)
-        elif args.command == "sweep-k":
-            status, text = cmd_sweep_k(cfg, _parse_k_list(args.k_list))
+        cfg = load_config(args.config, args, command.formats[0])
+        if cfg.format not in command.formats:
+            raise ConfigError(
+                f"{args.command} emits {' and '.join(f.upper() for f in command.formats)} "
+                f"only; pass --format {command.formats[0]} or omit --format"
+            )
+        status, record, header, rows = handler(cfg, args)
+        if cfg.format == "json":
+            text = json.dumps(record, indent=2) + "\n"
         else:
-            status, text = cmd_verify(cfg)
+            text = _csv_text(header, rows)
     except (UndefinedPriceError, BracketingError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(text, cfg.output)
+    if cfg.output is None:
+        sys.stdout.write(text)
+        return status
+    try:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output {cfg.output!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return status
 
 

@@ -187,20 +187,6 @@ def clearing_price(profile: InvestmentProfile) -> float:
     return a / (a + b)
 
 
-def payout(p: float, s: float, won: bool) -> float:
-    """Total wealth after the market resolves for a stake s at price p.
-
-    Winners redeem s / p of securities and keep their unspent endowment
-    1 - s on top; losers are left with the unspent endowment alone.
-    """
-    _check_price(p)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"stake {s!r} outside [0, 1]")
-    if won:
-        return s / p + (1.0 - s)
-    return 1.0 - s
-
-
 def naive_utility(p: float, b: float, s: float) -> float:
     """Expected wealth of staking s on the security priced p under belief b.
 

@@ -16,7 +16,7 @@ from jurymarkets import (
     InvestmentProfile,
     clearing_price,
 )
-from jurymarkets.cli import ConfigError, main, parse_config
+from jurymarkets.cli import COMMANDS, ConfigError, main, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -104,6 +104,46 @@ class TestGoldenOutputs:
             "--format", "csv",
         )
         assert_matches_golden(result, "check_equivalence_example1_exhaustive.csv")
+
+    def test_vote_example2_egalitarian_csv(self):
+        result = run_cli("vote", "--config", str(EXAMPLE_2), "--format", "csv")
+        assert_matches_golden(result, "vote_example2_egalitarian.csv")
+
+    def test_check_equivalence_example1_k10_json(self):
+        result = run_cli("check-equivalence", "--config", str(EXAMPLE_1), "--k", "10")
+        assert_matches_golden(result, "check_equivalence_example1_k10.json")
+
+    def test_accuracy_example2_taxed_k10_json(self):
+        result = run_cli(
+            "accuracy", "--config", str(EXAMPLE_2), "--market", "taxed_finite", "--k", "10"
+        )
+        assert_matches_golden(result, "accuracy_example2_taxed_k10.json")
+
+    def test_accuracy_example2_naive_monte_carlo_json(self):
+        result = run_cli(
+            "accuracy", "--config", str(EXAMPLE_2), "--market", "naive",
+            "--trials", "5000", "--seed", "3",
+        )
+        assert_matches_golden(result, "accuracy_example2_naive_mc.json")
+
+    def test_verify_example1_k10_csv(self):
+        # No --market and a k: naive, Kelly and taxed_finite rows.
+        result = run_cli("verify", "--config", str(EXAMPLE_1), "--k", "10", "--format", "csv")
+        assert_matches_golden(result, "verify_example1_k10.csv")
+
+    def test_solve_example1_taxed_asymptotic_json(self):
+        # The asymptotic market has a price but no finite stakes.
+        result = run_cli("solve", "--config", str(EXAMPLE_1), "--market", "taxed_asymptotic")
+        assert_matches_golden(result, "solve_example1_taxed_asymptotic.json")
+
+    def test_every_command_format_is_pinned(self):
+        pinned = {path.name for path in GOLDEN.iterdir()}
+        for name, command in COMMANDS.items():
+            for fmt in command.formats:
+                stem = name.replace("-", "_") + "_"
+                assert any(
+                    p.startswith(stem) and p.endswith("." + fmt) for p in pinned
+                ), f"no golden pins {name} --format {fmt}"
 
 
 class TestDeterminism:
@@ -273,6 +313,15 @@ class TestSweepCommand:
         assert result.returncode == 1
         assert b"CSV" in result.stderr
 
+    def test_format_error_comes_before_k_list_error(self):
+        result = run_cli(
+            "sweep-k", "--config", str(EXAMPLE_1), "--k-list", "nan", "--format", "json"
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            b"error: sweep-k emits CSV only; pass --format csv or omit --format\n"
+        )
+
     def test_bad_k_list(self):
         for k_list in ("1,zero", "nan,inf", "1,inf", "nan", "-1"):
             result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", k_list)
@@ -323,6 +372,12 @@ class TestConfigValidation:
             (lambda d: d.update(agents=[{"iq": 120}]), "unknown field 'iq'"),
             (lambda d: d.update(prior=0.6), "prior=0.6"),
             (lambda d: d.update(endowment=2), "endowment=2"),
+            (lambda d: d.update(prior=True), "prior=True"),
+            (lambda d: d.update(endowment=True), "endowment=True"),
+            (lambda d: d.update(output=True), "output=True"),
+            (lambda d: d.update(output=7), "output=7"),
+            (lambda d: d.update(output=["x"]), "output=['x']"),
+            (lambda d: d.update(output=""), "output=''"),
             (lambda d: d.update(signals=["A"]), "length 1 but there are 2 agents"),
             (lambda d: d.update(signals=["A", "C"]), "signals[1]='C'"),
             (lambda d: d.update(k=-2, market="taxed_finite"), "k=-2"),
@@ -366,6 +421,24 @@ class TestConfigValidation:
         result = run_cli("solve", "--config", str(config))
         assert result.returncode == 1
         assert b"requires a positive k" in result.stderr
+
+    def test_output_field_must_be_a_path(self, tmp_path):
+        # `true` once opened file descriptor 1, wrote through it and closed stdout.
+        config = tmp_path / "fd.json"
+        config.write_text(json.dumps(dict(self.base(), signals=["A", "B"], output=True)))
+        result = run_cli("vote", "--config", str(config))
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr == b"error: output=True must be a non-empty path string\n"
+
+    def test_unwritable_output_is_exit_1(self, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        result = run_cli("vote", "--config", str(EXAMPLE_1), "--output", str(target))
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: cannot write output ")
+        assert b"Traceback" not in result.stderr
+        assert not target.exists()
 
     def test_missing_config_file(self):
         result = run_cli("solve", "--config", "/nonexistent.json", "--market", "naive")

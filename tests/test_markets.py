@@ -33,7 +33,6 @@ from jurymarkets import (
     naive_best_response,
     naive_equilibrium,
     naive_utility,
-    payout,
     solve_market,
     tax_function,
     taxed_best_response,
@@ -94,21 +93,6 @@ class TestClearingPrice:
     def test_one_sided_book_has_no_price(self):
         with pytest.raises(UndefinedPriceError):
             clearing_price(InvestmentProfile((1.0, 1.0), (0.0, 0.0)))
-
-
-class TestPayout:
-    def test_winner_redeems_and_keeps_cash(self):
-        assert payout(0.4, 0.5, won=True) == pytest.approx(0.5 / 0.4 + 0.5)
-
-    def test_loser_keeps_unspent_endowment(self):
-        assert payout(0.4, 0.5, won=False) == 0.5
-
-    def test_full_stake_winner(self):
-        assert payout(0.25, 1.0, won=True) == 4.0
-
-    def test_rejects_bad_price(self):
-        with pytest.raises(ValueError):
-            payout(1.0, 0.5, won=True)
 
 
 class TestNaive:
