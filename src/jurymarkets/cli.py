@@ -15,7 +15,11 @@ command-line flags override config fields.  Output is deterministic JSON
 or CSV — identical inputs produce byte-identical bytes — written to stdout
 or ``--output``.  ``COMMANDS`` is the one table of subcommands: every handler
 returns its status, JSON record and CSV table, and ``main`` alone picks the
-format and writes the bytes.
+format and writes the bytes.  The JSON bytes are exactly those of
+``json.dumps(record, indent=2)`` and the CSV bytes those of ``csv.writer``
+with ``None`` empty and booleans as ``true``/``false``; both emitters run the
+standard library's C encoders, and the argument parser is built once per
+process.
 
 Exit codes: 0 success; 1 invalid config or arguments, a format the command
 does not emit, or an output file that cannot be opened or written
@@ -31,6 +35,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, repeat
 from math import inf, log
 from typing import Callable, Iterable
 
@@ -307,25 +313,72 @@ def _require_k(cfg: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# Serialization
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+@cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """A C-accelerated encoder whose item separator is indent=2's at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _only_scalars(items: Iterable) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+
+
+def _json_text(value: object, depth: int = 0) -> str:
+    r"""``json.dumps(value, indent=2)``, for a value nested ``depth`` levels deep.
+
+    CPython encodes in C only without ``indent``, so the indented layout is
+    built from separators instead.  A container of scalars is one encoder
+    call with ",\n<indent>" between items.  A list of flat objects is one
+    call a level deeper, whose object boundaries "},\n<indent>{" one
+    str.replace re-indents.  Both are exact: the encoder escapes every
+    newline inside a string, so each raw newline is a separator, and inside
+    a flat object a separator is always followed by a key's quote.  Other
+    containers recurse.
+    """
+    encoder = _encoder(depth)
+    if not isinstance(value, _CONTAINERS) or not value:
+        return encoder.encode(value)
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if _only_scalars(value.values() if isinstance(value, dict) else value):
+        text = encoder.encode(value)
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):  # keep json's key coercions
+            return json.dumps(value, indent=2).replace("\n", outer)
+        text = "{" + ("," + inner).join(
+            encoder.encode(key) + ": " + _json_text(v, depth + 1) for key, v in value.items()
+        ) + "}"
+    elif (
+        all(map(isinstance, value, repeat(dict))) and all(value)
+        and _only_scalars(chain.from_iterable(map(dict.values, value)))
+    ):
+        deeper = inner + "  "
+        text = _encoder(depth + 1).encode(value).replace(
+            "}," + deeper + "{", inner + "}," + inner + "{" + deeper
+        )
+        text = f"[{{{deeper}{text[2:-2]}{inner}}}]"
+    else:
+        text = "[" + ("," + inner).join(_json_text(v, depth + 1) for v in value) + "]"
+    return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
 
 
 def _csv_text(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+    # csv.writer already writes None as empty, floats by repr and ints by
+    # str; only bools need mapping, and by type, because 1.0 == True.
+    writer.writerows(
+        row if bool not in map(type, row)
+        else [("true" if c else "false") if type(c) is bool else c for c in row]
+        for row in rows
+    )
     return buffer.getvalue()
 
 
@@ -489,6 +542,11 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     log_odds = [log(b / (1.0 - b)) for b in beliefs.b]
     price_log_odds = log(asymptotic_price / (1.0 - asymptotic_price))
 
+    # csv.writer would repr each float again on every row; values that repeat
+    # across rows are formatted here once instead.
+    agents = list(enumerate(map(repr, beliefs.b)))
+    asymptotic_price_text = repr(asymptotic_price)
+
     rows = []
     errors = False
     for k in k_list:
@@ -497,19 +555,18 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
             result = taxed_equilibrium_finite(beliefs, k)
         except (BracketingError, UndefinedPriceError) as exc:
             errors = True
-            for i, b in enumerate(beliefs.b):
-                rows.append(
-                    (k, i, b, None, asymptotic[i], None, asymptotic_price, str(exc))
-                )
-            continue
-        signed = [
-            sa if sa > 0.0 else -sb
-            for sa, sb in zip(result.profile.sA, result.profile.sB)
+            signed, price, error = [None] * beliefs.n, None, str(exc)
+        else:
+            signed = [
+                sa if sa > 0.0 else -sb
+                for sa, sb in zip(result.profile.sA, result.profile.sB)
+            ]
+            price, error = repr(result.price), None
+        k_text = repr(k)
+        rows += [
+            (k_text, i, b, s, a, price, asymptotic_price_text, error)
+            for (i, b), s, a in zip(agents, signed, asymptotic)
         ]
-        for i, b in enumerate(beliefs.b):
-            rows.append(
-                (k, i, b, signed[i], asymptotic[i], result.price, asymptotic_price, None)
-            )
 
     if errors:
         return EXIT_OK, None, SWEEP_COLUMNS + ("error",), rows
@@ -627,7 +684,9 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write output to this path instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="jurymarkets",
         description="Weighted-majority elections and information-market equilibria.",
@@ -650,13 +709,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args, command.formats[0])
         if cfg.format not in command.formats:
+            default = command.formats[0]
+            fix = (
+                f"pass --format {default} or omit --format" if args.format
+                else f"set the config field format to {default!r} or remove it"
+            )
             raise ConfigError(
                 f"{args.command} emits {' and '.join(f.upper() for f in command.formats)} "
-                f"only; pass --format {command.formats[0]} or omit --format"
+                f"only; {fix}"
             )
         status, record, header, rows = handler(cfg, args)
         if cfg.format == "json":
-            text = json.dumps(record, indent=2) + "\n"
+            text = _json_text(record) + "\n"
         else:
             text = _csv_text(header, rows)
     except (UndefinedPriceError, BracketingError) as exc:

@@ -85,14 +85,38 @@ class _IndifferentType:
 INDIFFERENT = _IndifferentType()
 
 
+def _valid_stake_arrays(sA: object, sB: object) -> bool:
+    """Whether sA and sB are float arrays that pass every InvestmentProfile check."""
+    arrays = all(
+        isinstance(s, np.ndarray) and s.dtype == float and s.ndim == 1 for s in (sA, sB)
+    )
+    if not arrays or not 0 < sA.size == sB.size:
+        return False
+    stakes = np.concatenate((sA, sB))
+    return (
+        stakes.min() >= 0.0 and stakes.max() <= 1.0  # NaN fails both
+        and not np.logical_and(sA, sB).any()
+    )
+
+
 @dataclass(frozen=True)
 class InvestmentProfile:
-    """Per-agent stakes on each security.  Nobody plays both sides."""
+    """Per-agent stakes on each security.  Nobody plays both sides.
+
+    Stakes are stored as tuples of floats.  Float arrays, as the taxed
+    solver passes them, are checked in numpy.  Anything else, and any array
+    that fails that check, is checked in Python, which names the first bad
+    entry and on short profiles beats numpy's per-call overhead.
+    """
 
     sA: tuple[float, ...]
     sB: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if _valid_stake_arrays(self.sA, self.sB):
+            object.__setattr__(self, "sA", tuple(self.sA.tolist()))
+            object.__setattr__(self, "sB", tuple(self.sB.tolist()))
+            return
         object.__setattr__(self, "sA", tuple(float(x) for x in self.sA))
         object.__setattr__(self, "sB", tuple(float(x) for x in self.sB))
         if not self.sA:
@@ -390,7 +414,7 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
 
 
 def _result(
-    signed: list[float],
+    signed: list[float] | np.ndarray,
     price: float,
     kind: MarketKind,
     iterations: int = 0,
@@ -403,12 +427,18 @@ def _result(
     The residual is the quantity imbalance (1/p) * sum(sA) - (1/(1-p)) *
     sum(sB), reported as 0 when some side carries no stake.
     """
-    sA = [x if x > 0.0 else 0.0 for x in signed]
-    sB = [-x if x < 0.0 else 0.0 for x in signed]
-    on_a, on_b = fsum(sA), fsum(sB)
+    if isinstance(signed, np.ndarray):
+        profile = InvestmentProfile(
+            np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
+        )
+    else:
+        profile = InvestmentProfile(
+            [x if x > 0.0 else 0.0 for x in signed], [-x if x < 0.0 else 0.0 for x in signed]
+        )
+    on_a, on_b = fsum(profile.sA), fsum(profile.sB)
     degenerate = on_a == 0.0 or on_b == 0.0
     return EquilibriumResult(
-        profile=InvestmentProfile(tuple(sA), tuple(sB)),
+        profile=profile,
         price=price,
         kind=kind,
         diagnostics=Diagnostics(
@@ -552,7 +582,7 @@ def taxed_equilibrium_finite(
     price, _, signed = cur
     width = 0.0 if cur[1] == 0.0 else abs(far[0] - price)
     return _result(
-        signed.tolist(), price, MarketKind.TAXED_FINITE, iterations, k,
+        signed, price, MarketKind.TAXED_FINITE, iterations, k,
         inner_iterations=newton_steps, price_bracket_width=width,
     )
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ from jurymarkets import (
     InvestmentProfile,
     clearing_price,
 )
-from jurymarkets.cli import COMMANDS, ConfigError, main, parse_config
+from jurymarkets.cli import COMMANDS, ConfigError, _csv_text, _json_text, main, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -322,6 +325,17 @@ class TestSweepCommand:
             b"error: sweep-k emits CSV only; pass --format csv or omit --format\n"
         )
 
+    def test_format_error_from_config_names_the_config_field(self, tmp_path):
+        config = tmp_path / "json_format.json"
+        config.write_text(json.dumps({"agents": [{"belief": 0.3}], "format": "json"}))
+        result = run_cli("sweep-k", "--config", str(config))
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr == (
+            b"error: sweep-k emits CSV only; "
+            b"set the config field format to 'csv' or remove it\n"
+        )
+
     def test_bad_k_list(self):
         for k_list in ("1,zero", "nan,inf", "1,inf", "nan", "-1"):
             result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", k_list)
@@ -500,3 +514,88 @@ class TestFlagOverrides:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["decision"] == "B"
+
+
+class TestEmitters:
+    """The emitters write exactly the bytes of the reference serialisers."""
+
+    STRINGS = ("", "a", "},\n{", "},\n    {", 'say "hi"', "a,b", "x\ny", "\r\t\\", "é€😀")
+    FLOATS = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e308, 0.1)
+
+    def scalar(self, rng: random.Random) -> object:
+        return rng.choice((
+            rng.choice(self.STRINGS),
+            rng.choice(self.FLOATS),
+            rng.uniform(-1e6, 1e6),
+            rng.choice((0, -7, 2**70, -(2**64))),
+            rng.choice((True, False)),
+            None,
+        ))
+
+    def value(self, rng: random.Random, depth: int = 0) -> object:
+        kind = rng.randrange(7) if depth < 4 else 0
+        if kind == 0:
+            return self.scalar(rng)
+        if kind == 1:  # mixed object, sometimes with keys json coerces
+            keys = self.STRINGS + ("agent", 1, 2.5, True, None)
+            return {rng.choice(keys): self.value(rng, depth + 1) for _ in range(rng.randrange(4))}
+        if kind == 2:
+            return [self.value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        if kind == 3:
+            return tuple(self.value(rng, depth + 1) for _ in range(rng.randrange(3)))
+        if kind == 4:
+            return [self.scalar(rng) for _ in range(rng.randrange(5))]
+        # lists of flat objects, like the agents, reports and estimates lists;
+        # kind 6 may hold an empty object, which takes the general path
+        least = 1 if kind == 5 else 0
+        return [
+            {rng.choice(self.STRINGS + ("sA",)): self.scalar(rng)
+             for _ in range(rng.randrange(least, 4))}
+            for _ in range(rng.randrange(1, 4))
+        ]
+
+    def test_json_matches_indented_dumps(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            value = self.value(rng)
+            assert _json_text(value) == json.dumps(value, indent=2), repr(value)
+
+    def test_csv_matches_cell_by_cell_writer(self):
+        def cell(value: object) -> str:
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return repr(value)
+            return str(value)
+
+        rng = random.Random(20261018)
+        for _ in range(500):
+            header = tuple(rng.choice(self.STRINGS) for _ in range(rng.randrange(1, 4)))
+            rows = [
+                tuple(self.scalar(rng) for _ in range(rng.randrange(1, 6)))
+                for _ in range(rng.randrange(4))
+            ]
+            rows.append((1.0, 1, 0.0, 0))  # equal to True/False, but not bools
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([cell(c) for c in row])
+            assert _csv_text(header, rows) == buffer.getvalue(), repr(rows)
+
+    @pytest.mark.parametrize("sequence", [
+        [["check-equivalence", "--config", str(EXAMPLE_1), "--exhaustive"],
+         ["check-equivalence", "--config", str(EXAMPLE_1)]],
+        [["solve", "--config", str(EXAMPLE_1), "--market", "kelly", "--format", "csv"],
+         ["solve", "--config", str(EXAMPLE_1), "--market", "kelly"]],
+    ])
+    def test_reused_parser_keeps_no_state(self, sequence, capsys):
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            separate = run_cli(*argv)
+            assert (code, captured.out, captured.err) == (
+                separate.returncode, separate.stdout.decode(), separate.stderr.decode()
+            ), argv

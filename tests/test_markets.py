@@ -81,6 +81,32 @@ class TestInvestmentProfile:
         with pytest.raises(ValueError):
             InvestmentProfile((1.0,), (0.0, 0.0))
 
+    @pytest.mark.parametrize("vector", [tuple, lambda xs: np.array(xs, dtype=float)],
+                             ids=["tuple", "array"])
+    def test_names_the_first_bad_index(self, vector):
+        cases = [
+            ((0.5, float("nan"), 2.0), (0.0, 0.0, 0.0), r"^sA\[1\]=nan outside \[0, 1\]$"),
+            ((0.5, 0.0, 0.0), (0.0, 0.0, -0.1), r"^sB\[2\]=-0.1 outside \[0, 1\]$"),
+            ((0.0, 0.3, 0.2), (0.0, 0.1, 0.4),
+             r"^agent 1 invests on both sides \(sA=0.3, sB=0.1\)$"),
+            ((), (), "^investment profile must contain at least one agent$"),
+            ((0.5,), (0.0, 0.0), "^sA has 1 agents but sB has 2$"),
+        ]
+        for sA, sB, message in cases:
+            with pytest.raises(ValueError, match=message):
+                InvestmentProfile(vector(sA), vector(sB))
+
+    def test_stakes_are_tuples_of_python_floats(self):
+        for sA, sB in [
+            ((1, 0), (0, True)),
+            (np.array([0.25, 0.0, -0.0]), np.array([0.0, 0.5, 0.0])),
+            (np.array([0.25, 0.0]), [0.0, np.float64(0.5)]),
+        ]:
+            profile = InvestmentProfile(sA, sB)
+            assert type(profile.sA) is tuple and type(profile.sB) is tuple
+            assert all(type(x) is float for x in profile.sA + profile.sB)
+            assert profile == InvestmentProfile(tuple(map(float, sA)), tuple(map(float, sB)))
+
 
 class TestClearingPrice:
     def test_balanced_pair(self):
