@@ -84,8 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     for k in _parse_grid(args.k_grid):
         result = taxed_equilibrium_finite(b, k)
         strategy_gap = 0.0
-        for belief, sa, sb in zip(b.b, result.profile.sA, result.profile.sB):
-            solved = sa if sa else -sb
+        for belief, solved in zip(b.b, result.stakes):
             target = taxed_best_response_asymptotic(belief, asym_price, k)
             signed_target = target.fraction if target.side == "A" else -target.fraction
             strategy_gap = max(strategy_gap, abs(solved - signed_target))

@@ -398,19 +398,19 @@ def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
     price, offset, result = solve_market(beliefs, kind, k)
     if result is None:  # taxed_asymptotic: price only, no finite stakes
-        stakes = [(0.0, 0.0)] * beliefs.n
+        stakes = (0.0,) * beliefs.n
         residual, iterations, degenerate = 0.0, 0, False
     else:
-        stakes = zip(result.profile.sA, result.profile.sB)
+        stakes = result.stakes
         residual = result.diagnostics.residual
         iterations = result.diagnostics.iterations
         degenerate = result.diagnostics.degenerate
     decision = str(decision_from_offset(offset))
 
     agents = [
-        {"agent": i, "belief": b, "side": "A" if sa > 0.0 else "B" if sb > 0.0 else None,
-         "fraction": sa if sa > 0.0 else sb, "sA": sa, "sB": sb}
-        for i, (b, (sa, sb)) in enumerate(zip(beliefs.b, stakes))
+        {"agent": i, "belief": b, "side": "A" if s > 0.0 else "B" if s < 0.0 else None,
+         "fraction": abs(s), "sA": s if s > 0.0 else 0.0, "sB": -s if s < 0.0 else 0.0}
+        for i, (b, s) in enumerate(zip(beliefs.b, stakes))
     ]
     record = {
         "command": "solve",
@@ -557,11 +557,7 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
             errors = True
             signed, price, error = [None] * beliefs.n, None, str(exc)
         else:
-            signed = [
-                sa if sa > 0.0 else -sb
-                for sa, sb in zip(result.profile.sA, result.profile.sB)
-            ]
-            price, error = repr(result.price), None
+            signed, price, error = result.stakes, repr(result.price), None
         k_text = repr(k)
         rows += [
             (k_text, i, b, s, a, price, asymptotic_price_text, error)

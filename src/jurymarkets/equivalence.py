@@ -101,7 +101,7 @@ def check_scheme(
         scheme=scheme,
         election=election,
         market=market,
-        agree=election.members == market.members,
+        agree=election is market,
         price=price,
         weighted_margin=margin,
         guaranteed=not finite,

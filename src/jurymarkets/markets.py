@@ -18,9 +18,9 @@ B-securities sold:
   with an intensity parameter k that interpolates from plain Kelly (k -> 0)
   to vanishing stakes proportional to log-odds (k -> infinity).
 
-Each solver returns the full investment profile, the clearing price, and
-diagnostics (iterations, clearing residual, degeneracy, and for the taxed
-solver its Newton steps and final price-bracket width).
+Each solver returns signed stakes (+stake on A, -stake on B), the clearing
+price, and diagnostics (iterations, clearing residual, degeneracy, and for
+the taxed solver its Newton steps and final price-bracket width).
 """
 
 from __future__ import annotations
@@ -85,38 +85,20 @@ class _IndifferentType:
 INDIFFERENT = _IndifferentType()
 
 
-def _valid_stake_arrays(sA: object, sB: object) -> bool:
-    """Whether sA and sB are float arrays that pass every InvestmentProfile check."""
-    arrays = all(
-        isinstance(s, np.ndarray) and s.dtype == float and s.ndim == 1 for s in (sA, sB)
-    )
-    if not arrays or not 0 < sA.size == sB.size:
-        return False
-    stakes = np.concatenate((sA, sB))
-    return (
-        stakes.min() >= 0.0 and stakes.max() <= 1.0  # NaN fails both
-        and not np.logical_and(sA, sB).any()
-    )
-
-
 @dataclass(frozen=True)
 class InvestmentProfile:
     """Per-agent stakes on each security.  Nobody plays both sides.
 
-    Stakes are stored as tuples of floats.  Float arrays, as the taxed
-    solver passes them, are checked in numpy.  Anything else, and any array
-    that fails that check, is checked in Python, which names the first bad
-    entry and on short profiles beats numpy's per-call overhead.
+    Stakes are stored as tuples of Python floats, whatever sequence or array
+    they came in; the first bad entry is named.  Solvers report one signed
+    stake vector instead (EquilibriumResult.stakes), whose profile property
+    builds this view.
     """
 
     sA: tuple[float, ...]
     sB: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if _valid_stake_arrays(self.sA, self.sB):
-            object.__setattr__(self, "sA", tuple(self.sA.tolist()))
-            object.__setattr__(self, "sB", tuple(self.sB.tolist()))
-            return
         object.__setattr__(self, "sA", tuple(float(x) for x in self.sA))
         object.__setattr__(self, "sB", tuple(float(x) for x in self.sB))
         if not self.sA:
@@ -159,11 +141,22 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    profile: InvestmentProfile
+    """Signed stakes (Python floats in [-1, 1], +s on A and -s on B, so
+    nobody plays both sides), price and diagnostics.  ``profile`` splits the
+    stakes into a validated InvestmentProfile on request."""
+
+    stakes: tuple[float, ...]
     price: float
     kind: MarketKind
     diagnostics: Diagnostics
     k: float | None = None
+
+    @property
+    def profile(self) -> InvestmentProfile:
+        return InvestmentProfile(
+            [x if x > 0.0 else 0.0 for x in self.stakes],
+            [-x if x < 0.0 else 0.0 for x in self.stakes],
+        )
 
 
 @dataclass(frozen=True)
@@ -314,6 +307,9 @@ def taxed_foc_residual(s: float, b: float, p: float, k: float) -> float:
     return k * b * exp(-k * s) / (a - expm1(-k * s)) - (1.0 - b) / (1.0 - s)
 
 
+# Past k of about 1e154 the Newton slope overflows (the step is then 0), and
+# near 1e308 so does a, making h -inf or NaN; the sign test rejects both.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _taxed_stakes_signed(
     beliefs: np.ndarray, p: float, k: float, tol: float = RESPONSE_TOLERANCE
 ) -> tuple[np.ndarray, int]:
@@ -414,7 +410,7 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
 
 
 def _result(
-    signed: list[float] | np.ndarray,
+    signed: list[float],
     price: float,
     kind: MarketKind,
     iterations: int = 0,
@@ -424,21 +420,18 @@ def _result(
 ) -> EquilibriumResult:
     """Package signed stakes (+stake on A, -stake on B) as a result.
 
-    The residual is the quantity imbalance (1/p) * sum(sA) - (1/(1-p)) *
-    sum(sB), reported as 0 when some side carries no stake.
+    Every stake must lie in [-1, 1]; the first that does not, NaN included,
+    is named.  The residual is the quantity imbalance (1/p) * sum(sA) -
+    (1/(1-p)) * sum(sB), reported as 0 when some side carries no stake.
     """
-    if isinstance(signed, np.ndarray):
-        profile = InvestmentProfile(
-            np.where(signed > 0.0, signed, 0.0), np.where(signed < 0.0, -signed, 0.0)
-        )
-    else:
-        profile = InvestmentProfile(
-            [x if x > 0.0 else 0.0 for x in signed], [-x if x < 0.0 else 0.0 for x in signed]
-        )
-    on_a, on_b = fsum(profile.sA), fsum(profile.sB)
+    for i, x in enumerate(signed):
+        if not -1.0 <= x <= 1.0:
+            raise ValueError(f"stake {i}={x!r} outside [-1, 1]")
+    on_a = fsum([x for x in signed if x > 0.0])
+    on_b = fsum([-x for x in signed if x < 0.0])
     degenerate = on_a == 0.0 or on_b == 0.0
     return EquilibriumResult(
-        profile=profile,
+        stakes=tuple(signed),
         price=price,
         kind=kind,
         diagnostics=Diagnostics(
@@ -515,6 +508,8 @@ def taxed_equilibrium_finite(
     change across that bracket is verified, and then Brent's method (Brent
     1973, as in brentq) runs: inverse quadratic interpolation, falling back
     to bisection whenever that would not shrink the bracket fast enough.
+    Where the interpolation's terms leave the normal float range, as they
+    can for k beyond about 1e100, the secant step stands in for it.
     The search stops once the sign-change bracket around the returned price
     is at most price_tol wide, plus four ulps of the price.  Each probe
     solves every agent's stake by certified Newton steps to the relative
@@ -564,14 +559,17 @@ def taxed_equilibrium_finite(
             )
         trial = None
         if abs(prev_step) > delta and abs(f) < abs(prev[1]):
-            if prev[0] == far[0]:  # secant
-                trial = -f * (x - prev[0]) / (f - prev[1])
-            else:  # inverse quadratic interpolation
+            if prev[0] != far[0]:  # inverse quadratic interpolation
                 d_prev = (prev[1] - f) / (prev[0] - x)
                 d_far = (far[1] - f) / (far[0] - x)
-                trial = -f * (far[1] * d_far - prev[1] * d_prev) / (
-                    d_far * d_prev * (far[1] - prev[1])
-                )
+                numerator = -f * (far[1] * d_far - prev[1] * d_prev)
+                denominator = d_far * d_prev * (far[1] - prev[1])
+                # Both scale like f^3, so past k of about 1e100 they can lose
+                # their digits below the normal range or underflow to 0.
+                if min(abs(numerator), abs(denominator)) >= float_info.min:
+                    trial = numerator / denominator
+            if trial is None:  # secant
+                trial = -f * (x - prev[0]) / (f - prev[1])
         if trial is not None and 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
             prev_step, step = step, trial
         else:
@@ -582,7 +580,7 @@ def taxed_equilibrium_finite(
     price, _, signed = cur
     width = 0.0 if cur[1] == 0.0 else abs(far[0] - price)
     return _result(
-        signed, price, MarketKind.TAXED_FINITE, iterations, k,
+        signed.tolist(), price, MarketKind.TAXED_FINITE, iterations, k,
         inner_iterations=newton_steps, price_bracket_width=width,
     )
 

@@ -233,6 +233,24 @@ class TestExitCodes:
         assert result.returncode == 2
         assert b"solver error" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "--market", "taxed_finite", "--k", "1e200"),
+            ("sweep-k", "--k-list", "1e106,1e200,1e300"),
+            ("verify", "--market", "taxed_finite", "--k", "1e200"),
+            ("check-equivalence", "--k", "1e200"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_huge_k_exits_cleanly(self, args):
+        # The CLI accepts any finite k, so a huge one ends in output or a solver error.
+        command, *rest = args
+        result = run_cli(command, "--config", str(EXAMPLE_1), *rest)
+        assert result.returncode in (0, 2), result.stderr.decode()
+        assert b"Traceback" not in result.stderr
+        assert b"Warning" not in result.stderr
+
     def test_guaranteed_violation_is_exit_3(self, monkeypatch, capsys, tmp_path):
         fake = EquivalenceReport(
             scheme=EquivalenceScheme.SIMPLE_NAIVE,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from math import fsum, isclose, log
 
 import numpy as np
@@ -106,6 +107,52 @@ class TestInvestmentProfile:
             assert type(profile.sA) is tuple and type(profile.sB) is tuple
             assert all(type(x) is float for x in profile.sA + profile.sB)
             assert profile == InvestmentProfile(tuple(map(float, sA)), tuple(map(float, sB)))
+
+
+SOLVERS = {
+    "naive": naive_equilibrium,
+    "kelly": kelly_equilibrium,
+    "taxed_k0.1": lambda b: taxed_equilibrium_finite(b, 0.1),
+    "taxed_k10": lambda b: taxed_equilibrium_finite(b, 10.0),
+    "taxed_k1e5": lambda b: taxed_equilibrium_finite(b, 1e5),
+}
+
+
+class TestSignedStakes:
+    """Solvers report one signed stake vector; profile is its validated split."""
+
+    @pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_profile_is_the_split_of_the_stakes(self, solve):
+        rng = random.Random(23)
+        panels = [random_beliefs(rng, n).b for n in range(1, 13) for _ in range(4)]
+        for panel in panels + list(lattice_panels(seed=29, per_n=3)):
+            result = solve(BeliefProfile(panel))
+            stakes, profile = result.stakes, result.profile
+            assert type(stakes) is tuple and len(stakes) == len(panel)
+            assert all(type(s) is float for s in stakes)
+            assert type(profile) is InvestmentProfile
+            for s, sa, sb in zip(stakes, profile.sA, profile.sB):
+                assert sa - sb == s and (sa == 0.0 or sb == 0.0), (panel, s, sa, sb)
+            expected = 0.0 if result.diagnostics.degenerate else security_residual(
+                profile, result.price
+            )
+            assert result.diagnostics.residual == expected
+
+    def test_result_names_the_bad_stake(self):
+        for signed, message in [
+            ([0.5, float("nan"), 2.0], r"^stake 1=nan outside \[-1, 1\]$"),
+            ([-0.25, 0.0, -1.5], r"^stake 2=-1.5 outside \[-1, 1\]$"),
+            ([1.0000000000000002], r"^stake 0=1.0000000000000002 outside \[-1, 1\]$"),
+            ([0.1, float("-inf")], r"^stake 1=-inf outside \[-1, 1\]$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                markets._result(signed, 0.5, MarketKind.KELLY)
+
+    def test_result_accepts_full_stakes(self):
+        result = markets._result([1.0, -1.0, -0.0, 0.0], 0.5, MarketKind.NAIVE)
+        assert result.stakes == (1.0, -1.0, -0.0, 0.0)
+        assert result.profile == InvestmentProfile((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+        assert result.diagnostics.residual == 0.0 and not result.diagnostics.degenerate
 
 
 class TestClearingPrice:
@@ -458,6 +505,9 @@ class TestTaxedSolverContract:
     an unconverged one."""
 
     TAX_RATES = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e7)
+    # Past k of about 1e100 Brent's interpolation terms and the Newton slope
+    # leave the float range.
+    HUGE_TAX_RATES = (1e106, 1e150, 1e300)
 
     @pytest.mark.parametrize("n", [2, 10, 1000])
     def test_default_solve_matches_tight_solve(self, n):
@@ -484,11 +534,12 @@ class TestTaxedSolverContract:
             taxed_equilibrium_finite(beliefs, 3.0)
 
     @staticmethod
-    def assert_certified_or_raised(panel: list[float], k: float) -> None:
+    def assert_certified_or_raised(panel: list[float], k: float):
+        """The certified result, or None when the solver raised a typed error."""
         try:
             result = taxed_equilibrium_finite(BeliefProfile(tuple(panel)), k)
         except (BracketingError, UndefinedPriceError):
-            return
+            return None
         p = result.price
         assert 0.0 < p < 1.0
         assert result.diagnostics.price_bracket_width <= (
@@ -502,6 +553,7 @@ class TestTaxedSolverContract:
             t = 1e-9 * s + 1e-12 * min(1.0, 1.0 / k)
             assert taxed_foc_residual(max(s - t, 0.0), bb, pp, k) >= 0.0
             assert taxed_foc_residual(s + t, bb, pp, k) <= 0.0
+        return result
 
     @given(hostile_panels, st.floats(min_value=1e-9, max_value=1e7))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -523,6 +575,24 @@ class TestTaxedSolverContract:
         panel = rng.uniform(1e-6, 1.0 - 1e-6, n)
         panel[rng.choice(n, len(hostile), replace=False)] = hostile
         self.assert_certified_or_raised(panel.tolist(), k)
+
+    @pytest.mark.parametrize("k", HUGE_TAX_RATES)
+    def test_huge_k_solves_ordinary_panels(self, k):
+        rng = random.Random(31)
+        panels = [random_beliefs(rng, n).b for n in range(1, 13) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for panel in panels + list(lattice_panels(seed=37, per_n=1)):
+                result = self.assert_certified_or_raised(panel, k)
+                assert result is not None, panel
+                assert result.diagnostics.iterations <= 30, (panel, result.diagnostics)
+
+    @given(hostile_panels, st.sampled_from(HUGE_TAX_RATES))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_huge_k_hostile_inputs_converge_or_raise(self, panel, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_certified_or_raised(panel, k)
 
 
 class TestFullInvestmentEquivalence:
