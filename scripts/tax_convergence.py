@@ -85,9 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         result = taxed_equilibrium_finite(b, k)
         strategy_gap = 0.0
         for belief, solved in zip(b.b, result.stakes):
-            target = taxed_best_response_asymptotic(belief, asym_price, k)
-            signed_target = target.fraction if target.side == "A" else -target.fraction
-            strategy_gap = max(strategy_gap, abs(solved - signed_target))
+            target = taxed_best_response_asymptotic(belief, asym_price, k).stake
+            strategy_gap = max(strategy_gap, abs(solved - target))
         rows.append(
             (
                 k,

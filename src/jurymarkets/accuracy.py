@@ -189,8 +189,8 @@ def _sample_signals(
     (True = the agent's signal, and so her belief, favours A).
     """
     states = rng.random(size) < 0.5
-    matches = rng.random((size, q_vec.size)) < q_vec
-    signals = np.where(states[:, None], matches, ~matches)
+    # A signal favours A exactly when "it matches the state" equals "the state is A".
+    signals = (rng.random((size, q_vec.size)) < q_vec) == states[:, None]
     return states, signals
 
 

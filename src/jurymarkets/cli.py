@@ -37,7 +37,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
-from math import inf, log
+from math import log
+from sys import float_info
 from typing import Callable, Iterable
 
 from .accuracy import (
@@ -218,8 +219,8 @@ def parse_config(
 
     k = pick("k")
     if k is not None:
-        if not _is_real(k) or not 0.0 < k < inf:
-            raise ConfigError(f"k={k!r} must be a finite positive number")
+        if not _is_real(k) or not float_info.min <= k <= float_info.max:
+            raise ConfigError(f"k={k!r} must be a finite positive number >= {float_info.min!r}")
         k = float(k)
         if market is not None and market != MarketKind.TAXED_FINITE.value:
             raise ConfigError(
@@ -396,21 +397,15 @@ def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     kind = _require_market(cfg, "solve")
     k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-    price, offset, result = solve_market(beliefs, kind, k)
-    if result is None:  # taxed_asymptotic: price only, no finite stakes
-        stakes = (0.0,) * beliefs.n
-        residual, iterations, degenerate = 0.0, 0, False
-    else:
-        stakes = result.stakes
-        residual = result.diagnostics.residual
-        iterations = result.diagnostics.iterations
-        degenerate = result.diagnostics.degenerate
-    decision = str(decision_from_offset(offset))
+    result = solve_market(beliefs, kind, k)
+    price, d = result.price, result.diagnostics
+    residual, iterations, degenerate = d.residual, d.iterations, d.degenerate
+    decision = str(decision_from_offset(result.offset))
 
     agents = [
         {"agent": i, "belief": b, "side": "A" if s > 0.0 else "B" if s < 0.0 else None,
          "fraction": abs(s), "sA": s if s > 0.0 else 0.0, "sB": -s if s < 0.0 else 0.0}
-        for i, (b, s) in enumerate(zip(beliefs.b, stakes))
+        for i, (b, s) in enumerate(zip(beliefs.b, result.stakes))
     ]
     record = {
         "command": "solve",
@@ -530,8 +525,8 @@ def _parse_k_list(text: str | None) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"--k-list {text!r} is not a comma-separated list of reals") from exc
-    if not values or any(not 0.0 < v < inf for v in values):
-        raise ConfigError(f"--k-list {text!r} must contain finite positive reals")
+    if not values or any(not float_info.min <= v <= float_info.max for v in values):
+        raise ConfigError(f"--k-list {text!r} needs finite positive reals >= {float_info.min!r}")
     return values
 
 
@@ -590,7 +585,7 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
                 "use market=taxed_finite with a k"
             )
         k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-        _, _, result = solve_market(beliefs, kind, k)
+        result = solve_market(beliefs, kind, k)
         intervals = grid_equilibrium_search(beliefs, kind, k)
         contained = any(lo <= result.price <= hi for lo, hi in intervals)
         unique = len(intervals) == 1 if kind is MarketKind.NAIVE else None

@@ -81,7 +81,7 @@ def check_scheme(
     """One commuting-diagram check: a weighted majority vs its paired market.
 
     Both sides run on the same beliefs and are read with the same tie band:
-    the election on its weighted margin, the market on solve_market's
+    the election on its weighted margin, the market on the solved result's
     offset, which is in the same units.  The log-odds pairing's market is
     the heavy-damping closed form, so agreement is exact.  With a finite k
     that pairing solves the finite-k taxed market instead; agreement then
@@ -94,15 +94,15 @@ def check_scheme(
         kind = MarketKind.TAXED_FINITE
     beliefs = beliefs_from_signals(q, y)
     margin = weighted_margin(votes_from_beliefs(beliefs), WEIGHT_SCHEMES[weights](q))
-    price, offset, _ = solve_market(beliefs, kind, k)
+    result = solve_market(beliefs, kind, k)
     election = decision_from_offset(margin)
-    market = decision_from_offset(offset)
+    market = decision_from_offset(result.offset)
     return EquivalenceReport(
         scheme=scheme,
         election=election,
         market=market,
         agree=election is market,
-        price=price,
+        price=result.price,
         weighted_margin=margin,
         guaranteed=not finite,
         k=k if finite else None,

@@ -18,16 +18,19 @@ B-securities sold:
   with an intensity parameter k that interpolates from plain Kelly (k -> 0)
   to vanishing stakes proportional to log-odds (k -> infinity).
 
-Each solver returns signed stakes (+stake on A, -stake on B), the clearing
-price, and diagnostics (iterations, clearing residual, degeneracy, and for
-the taxed solver its Newton steps and final price-bracket width).
+Stakes are signed throughout: +stake on A, -stake on B.  Every best
+response is a SideInvestment holding one.  Every solve, solve_market for any
+MarketKind included, returns an EquilibriumResult: signed stakes, the
+clearing price, and diagnostics (iterations, clearing residual, degeneracy,
+and for the taxed solver its Newton steps and final price-bracket width).
+The tax intensity k must be a normal positive float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, expm1, fsum, inf, log, log1p
+from math import exp, expm1, fsum, log, log1p
 from sys import float_info
 
 import numpy as np
@@ -71,18 +74,6 @@ class UndefinedPriceError(ValueError):
 
 class BracketingError(RuntimeError):
     """A root-finding bracket failed to straddle a sign change."""
-
-
-class _IndifferentType:
-    """Marker: every stake in [0, 1] is optimal."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Indifferent"
-
-
-INDIFFERENT = _IndifferentType()
 
 
 @dataclass(frozen=True)
@@ -139,11 +130,14 @@ class Diagnostics:
     price_bracket_width: float = 0.0
 
 
+_NO_DIAGNOSTICS = Diagnostics()  # of a closed-form price, shared by every such result
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Signed stakes (Python floats in [-1, 1], +s on A and -s on B, so
-    nobody plays both sides), price and diagnostics.  ``profile`` splits the
-    stakes into a validated InvestmentProfile on request."""
+    """Signed stakes (Python floats in [-1, 1], +s on A and -s on B), price
+    and diagnostics, for every market kind.  ``profile`` splits the stakes
+    into a validated InvestmentProfile, and ``offset`` reads the decision."""
 
     stakes: tuple[float, ...]
     price: float
@@ -158,20 +152,37 @@ class EquilibriumResult:
             [-x if x < 0.0 else 0.0 for x in self.stakes],
         )
 
+    @property
+    def offset(self) -> float:
+        """The decision offset, read with the shared tie band in the paired
+        election's margin units: n (p - 1/2) for the Kelly (the linear-weight
+        margin, p being the mean belief) and finite taxed markets, (n/2)
+        logit(p) for the asymptotic one (the log-odds margin), and the exact
+        sign of p - 1/2 for the naive price, a belief or a split i/n."""
+        p, n = self.price, len(self.stakes)
+        if self.kind is MarketKind.NAIVE:
+            return float((p > 0.5) - (p < 0.5))
+        if self.kind is MarketKind.TAXED_ASYMPTOTIC:
+            return 0.5 * n * log(p / (1.0 - p))
+        return n * (p - 0.5)
+
 
 @dataclass(frozen=True)
 class SideInvestment:
-    """A single agent's optimal stake: which security, and how much."""
+    """A single agent's optimal stake, signed: +s on A, -s on B, 0 for none."""
 
-    side: str | None  # "A", "B", or None when not investing
-    fraction: float
+    stake: float
 
-    def as_legs(self) -> tuple[float, float]:
-        if self.side == "A":
-            return self.fraction, 0.0
-        if self.side == "B":
-            return 0.0, self.fraction
-        return 0.0, 0.0
+    @property
+    def side(self) -> str | None:  # "A", "B", or None when not investing
+        return "A" if self.stake > 0.0 else "B" if self.stake < 0.0 else None
+
+    @property
+    def fraction(self) -> float:
+        return abs(self.stake)
+
+    def as_legs(self) -> tuple[float, float]:  # (stake on A, stake on B)
+        return (self.stake, 0.0) if self.stake > 0.0 else (0.0, self.fraction)
 
 
 def _check_price(p: float) -> None:
@@ -185,8 +196,11 @@ def _check_belief(b: float) -> None:
 
 
 def _check_k(k: float | None) -> None:
-    if k is None or not 0.0 < k < inf:  # the chained test also rejects NaN
-        raise ValueError(f"tax intensity needs a finite positive k, got {k!r}")
+    # Normal floats only (no NaN): a subnormal k loses the belief's digits in k * b.
+    if k is None or not float_info.min <= k <= float_info.max:
+        raise ValueError(
+            f"tax intensity needs a finite positive k >= {float_info.min!r}, got {k!r}"
+        )
 
 
 def clearing_price(profile: InvestmentProfile) -> float:
@@ -227,35 +241,25 @@ def kelly_utility(p: float, b: float, s: float) -> float:
     return b * log1p(s * (1.0 - p) / p) + (1.0 - b) * log1p(-s)
 
 
-def naive_best_response(b: float, p: float):
-    """Optimal stake sets for an expected-wealth maximiser, per side.
+def naive_best_response(b: float, p: float) -> SideInvestment | None:
+    """The expected-wealth optimum: everything on the side that looks cheap.
 
-    Returns (a_side, b_side).  Expected wealth is linear in the stake, so
-    each side's optimum is all ({1.0}) or nothing ({0.0}); at b == p both
-    securities are fair bets and every stake is optimal, flagged by the
-    INDIFFERENT marker.  The A-stake is non-increasing in p and the B-stake
-    non-decreasing: all on A below the belief, all on B above it.
+    Expected wealth is linear in the stake, so the optimum is all in: +1.0
+    (on A) when b > p and -1.0 (on B) when b < p.  At b == p both securities
+    are fair bets and every stake is optimal, so there is no single best
+    response and None is returned.  The A-stake is non-increasing in p and
+    the B-stake non-decreasing: all on A below the belief, all on B above it.
     """
     _check_price(p)
     _check_belief(b)
-    if b > p:
-        return frozenset((1.0,)), frozenset((0.0,))
-    if b < p:
-        return frozenset((0.0,)), frozenset((1.0,))
-    return INDIFFERENT, INDIFFERENT
+    if b == p:
+        return None
+    return SideInvestment(1.0 if b > p else -1.0)
 
 
 def _kelly_signed(b: float, p: float) -> float:
     """Signed Kelly stake: (b - p) / (1 - p) on A, -(p - b) / p on B."""
     return (b - p) / (1.0 - p if b > p else p)
-
-
-def _side_investment(signed: float) -> SideInvestment:
-    if signed > 0.0:
-        return SideInvestment("A", signed)
-    if signed < 0.0:
-        return SideInvestment("B", -signed)
-    return SideInvestment(None, 0.0)
 
 
 def kelly_best_response(b: float, p: float) -> SideInvestment:
@@ -267,7 +271,7 @@ def kelly_best_response(b: float, p: float) -> SideInvestment:
     """
     _check_price(p)
     _check_belief(b)
-    return _side_investment(_kelly_signed(b, p))
+    return SideInvestment(_kelly_signed(b, p))
 
 
 def tax_function(x: float, p: float, k: float) -> float:
@@ -307,8 +311,8 @@ def taxed_foc_residual(s: float, b: float, p: float, k: float) -> float:
     return k * b * exp(-k * s) / (a - expm1(-k * s)) - (1.0 - b) / (1.0 - s)
 
 
-# Past k of about 1e154 the Newton slope overflows (the step is then 0), and
-# near 1e308 so does a, making h -inf or NaN; the sign test rejects both.
+# Past k of about 1e154 the Newton slope overflows (the step is then 0); the
+# sign test rejects such a stake.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _taxed_stakes_signed(
     beliefs: np.ndarray, p: float, k: float, tol: float = RESPONSE_TOLERANCE
@@ -329,14 +333,17 @@ def _taxed_stakes_signed(
     log-odds/k stake, and stops only when the sign change
     h(s-t) >= 0 >= h(s+t) certifies every stake, where t is tol * s plus a
     few ulps of the stake scale min(1, 1/k).  Returns the signed stakes and
-    the number of Newton steps; raises BracketingError when the optimum lies
-    above STAKE_BRACKET_HIGH or the steps run out.
+    the number of Newton steps; raises BracketingError at once when some
+    active agent's a overflows (near k = 1e308), and otherwise when the
+    optimum lies above STAKE_BRACKET_HIGH or the steps run out.
     """
     above = beliefs > p
     active = beliefs != p
     bb = np.where(above, beliefs, 1.0 - beliefs)[active]
     pp = np.where(above, p, 1.0 - p)[active]
     a = k * pp / (1.0 - pp)
+    if not np.isfinite(a).all():  # h is then -inf or NaN, which never certifies
+        raise BracketingError(f"taxed stakes undefined, k p/(1-p) overflows at p={p!r}, k={k!r}")
     kb = k * bb
     one_minus_b = 1.0 - bb
 
@@ -389,7 +396,7 @@ def taxed_best_response(b: float, p: float, k: float) -> SideInvestment:
     _check_price(p)
     _check_belief(b)
     _check_k(k)
-    return _side_investment(float(_taxed_stakes_signed(np.array([b]), p, k)[0][0]))
+    return SideInvestment(float(_taxed_stakes_signed(np.array([b]), p, k)[0][0]))
 
 
 def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestment:
@@ -403,10 +410,10 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
     _check_belief(b)
     _check_k(k)
     if b > p:
-        return SideInvestment("A", log((1.0 - p) / p * b / (1.0 - b)) / k)
+        return SideInvestment(log((1.0 - p) / p * b / (1.0 - b)) / k)
     if b < p:
-        return SideInvestment("B", log(p / (1.0 - p) * (1.0 - b) / b) / k)
-    return SideInvestment(None, 0.0)
+        return SideInvestment(-(log(p / (1.0 - p) * (1.0 - b) / b) / k))
+    return SideInvestment(0.0)
 
 
 def _result(
@@ -600,32 +607,20 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
     return 1.0 / (1.0 + exp(-mean_log_odds))
 
 
-def solve_market(
-    b: BeliefProfile, kind: MarketKind, k: float | None
-) -> tuple[float, float, EquilibriumResult | None]:
-    """Solve one market kind; returns (price, decision offset, result).
+def solve_market(b: BeliefProfile, kind: MarketKind, k: float | None) -> EquilibriumResult:
+    """Solve one market kind; only the finite taxed market reads k.
 
-    The offset is what the market's decision is read from, with the shared
-    tie band, so it is in the units of the paired election's weighted
-    margin: n * (p - 1/2) for the Kelly and finite taxed markets (for Kelly
-    it equals the linear-weight margin, since p is the mean belief) and
-    (n/2) * logit(p) for the asymptotic taxed market (the log-odds margin,
-    since logit(p) is the mean log-odds).  The naive price is exact, a
-    belief or a split i/n, so its offset is the exact sign of p - 1/2.  The
-    asymptotic market has a closed-form price but no finite stakes, so its
-    result is None.  Only the finite taxed market reads k.
+    The asymptotic result holds the closed-form price, one zero stake per
+    agent (the k -> infinity limit of every taxed stake) and no diagnostics.
     """
-    if kind is MarketKind.TAXED_ASYMPTOTIC:
-        price = taxed_equilibrium_asymptotic(b)
-        return price, 0.5 * b.n * log(price / (1.0 - price)), None
     if kind is MarketKind.NAIVE:
-        result = naive_equilibrium(b)
-        return result.price, float((result.price > 0.5) - (result.price < 0.5)), result
+        return naive_equilibrium(b)
     if kind is MarketKind.KELLY:
-        result = kelly_equilibrium(b)
-    else:
-        result = taxed_equilibrium_finite(b, k)
-    return result.price, b.n * (result.price - 0.5), result
+        return kelly_equilibrium(b)
+    if kind is MarketKind.TAXED_FINITE:
+        return taxed_equilibrium_finite(b, k)
+    price = taxed_equilibrium_asymptotic(b)
+    return EquilibriumResult((0.0,) * b.n, price, kind, _NO_DIAGNOSTICS)
 
 
 def taxed_half_price_weights(q: np.ndarray, k: float) -> np.ndarray:

@@ -123,7 +123,8 @@ def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfil
         raise ValueError(
             f"competence profile has {q.n} agents but signal profile has {y.n}"
         )
-    return BeliefProfile(tuple(posterior_belief(qi, yi) for qi, yi in zip(q.q, y.y)))
+    # Both profiles are validated already, so posterior_belief's checks are skipped.
+    return BeliefProfile(tuple(qi if yi == STATE_A else 1.0 - qi for qi, yi in zip(q.q, y.y)))
 
 
 def signal_matrix(n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from jurymarkets import (
     signal_matrix,
     verify_optimal_weights,
 )
+from jurymarkets.accuracy import _batch_generator, _sample_signals
 from tests.conftest import random_competences
 
 competence_lists = st.lists(
@@ -198,6 +199,19 @@ class TestMonteCarlo:
                     majority.tie_mass,
                     majority.std_error,
                 ), (q, kind)
+
+    def test_sampled_signals_are_the_where_form(self):
+        # Signals match the state with probability q: drawn as matches, then
+        # flipped where the state is B.
+        q_vec = np.array([0.55, 0.6, 0.75, 0.9, 0.99, 0.5 + 2.0**-40])
+        for seed, size in ((0, 1), (3, 1000), (2**64 - 1, 4097)):
+            states, signals = _sample_signals(_batch_generator(seed, 7), q_vec, size)
+            rng = _batch_generator(seed, 7)
+            expected_states = rng.random(size) < 0.5
+            matches = rng.random((size, q_vec.size)) < q_vec
+            assert np.array_equal(states, expected_states)
+            assert signals.dtype == bool and signals.shape == (size, q_vec.size)
+            assert np.array_equal(signals, np.where(expected_states[:, None], matches, ~matches))
 
     def test_batch_boundary_handling(self):
         q = CompetenceProfile((0.7, 0.7))

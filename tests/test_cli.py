@@ -251,6 +251,43 @@ class TestExitCodes:
         assert b"Traceback" not in result.stderr
         assert b"Warning" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "--market", "taxed_finite", "--k", "5e-324"),
+            ("accuracy", "--market", "taxed_finite", "--k", "5e-324"),
+            ("sweep-k", "--k-list", "1,5e-324"),
+            ("verify", "--market", "taxed_finite", "--k", "5e-324"),
+            ("check-equivalence", "--k", "5e-324"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_subnormal_k_is_exit_1(self, args):
+        # Below the smallest normal float the taxed stakes come out wrong.
+        command, *rest = args
+        result = run_cli(command, "--config", str(EXAMPLE_1), *rest)
+        assert result.returncode == 1, result.stdout.decode()
+        assert result.stdout == b""
+        assert b"Traceback" not in result.stderr
+        assert (b"--k-list" if command == "sweep-k" else b"error: k=5e-324") in result.stderr
+        assert b"finite positive" in result.stderr
+
+    def test_subnormal_k_no_longer_gives_an_accuracy(self, tmp_path):
+        config = tmp_path / "expert.json"
+        config.write_text(json.dumps(
+            {"agents": [{"competence": q} for q in (0.95, 0.6, 0.6, 0.6, 0.6)]}
+        ))
+        result = run_cli("accuracy", "--config", str(config), "--market", "taxed_finite",
+                         "--k", "5e-324")
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error: k=5e-324 must be a finite positive number")
+
+    def test_smallest_normal_k_solves(self):
+        result = run_cli("solve", "--config", str(EXAMPLE_1), "--market", "taxed_finite",
+                         "--k", "2.2250738585072014e-308")
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout)["price"] == pytest.approx(0.52, abs=1e-12)
+
     def test_guaranteed_violation_is_exit_3(self, monkeypatch, capsys, tmp_path):
         fake = EquivalenceReport(
             scheme=EquivalenceScheme.SIMPLE_NAIVE,
@@ -416,6 +453,9 @@ class TestConfigValidation:
             (lambda d: d.update(k=float("inf"), market="taxed_finite"), "k=inf"),
             (lambda d: d.update(k=float("nan"), market="taxed_finite"), "k=nan"),
             (lambda d: d.update(k=True, market="taxed_finite"), "k=True"),
+            (lambda d: d.update(k=1e-310, market="taxed_finite"), "k=1e-310"),
+            (lambda d: d.update(k=5e-324, market="taxed_finite"), "k=5e-324"),
+            (lambda d: d.update(k=10**400, market="taxed_finite"), "k=1000"),
             (lambda d: d.update(k=1.0, market="kelly"), "k only applies"),
             (lambda d: d.update(market="lmsr"), "market='lmsr'"),
             (lambda d: d.update(weights="quadratic"), "weights='quadratic'"),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 import warnings
-from math import fsum, isclose, log
+from math import copysign, fsum, isclose, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,14 @@ from hypothesis import strategies as st
 
 from jurymarkets import markets
 from jurymarkets import (
-    INDIFFERENT,
     BeliefProfile,
     BracketingError,
     CompetenceProfile,
     Decision,
+    EquilibriumResult,
     InvestmentProfile,
     MarketKind,
+    SideInvestment,
     SignalProfile,
     UndefinedPriceError,
     beliefs_from_signals,
@@ -148,6 +152,33 @@ class TestSignedStakes:
             with pytest.raises(ValueError, match=message):
                 markets._result(signed, 0.5, MarketKind.KELLY)
 
+    @pytest.mark.parametrize(
+        "stake, side, legs",
+        [
+            (0.25, "A", (0.25, 0.0)),
+            (-0.25, "B", (0.0, 0.25)),
+            (1.0, "A", (1.0, 0.0)),
+            (-1.0, "B", (0.0, 1.0)),
+            (0.0, None, (0.0, 0.0)),
+            (-0.0, None, (0.0, 0.0)),
+        ],
+    )
+    def test_side_investment_reads_side_fraction_and_legs(self, stake, side, legs):
+        r = SideInvestment(stake)
+        assert r.side == side
+        assert r.fraction == abs(stake) and copysign(1.0, r.fraction) == 1.0
+        assert r.as_legs() == legs and all(copysign(1.0, x) == 1.0 for x in r.as_legs())
+        rebuilt = {"A": r.fraction, "B": -r.fraction, None: 0.0}[r.side]
+        assert rebuilt == stake and SideInvestment(rebuilt).as_legs() == legs
+
+    @given(st.floats(min_value=-1.0, max_value=1.0))
+    def test_side_investment_round_trips(self, stake):
+        r = SideInvestment(stake)
+        sa, sb = r.as_legs()
+        assert sa - sb == stake and (sa == 0.0 or sb == 0.0)
+        assert r.fraction == sa + sb
+        assert r.side == ("A" if sa > 0.0 else "B" if sb > 0.0 else None)
+
     def test_result_accepts_full_stakes(self):
         result = markets._result([1.0, -1.0, -0.0, 0.0], 0.5, MarketKind.NAIVE)
         assert result.stakes == (1.0, -1.0, -0.0, 0.0)
@@ -174,25 +205,34 @@ class TestNaive:
         assert naive_utility(0.4, 0.9, 0.0) == 1.0
 
     def test_best_response_all_in_above_price(self):
-        a_side, b_side = naive_best_response(0.9, 0.4)
-        assert a_side == frozenset({1.0}) and b_side == frozenset({0.0})
+        r = naive_best_response(0.9, 0.4)
+        assert r == SideInvestment(1.0)
+        assert r.as_legs() == (1.0, 0.0)
 
     def test_best_response_all_in_below_price(self):
-        a_side, b_side = naive_best_response(0.3, 0.4)
-        assert a_side == frozenset({0.0}) and b_side == frozenset({1.0})
+        r = naive_best_response(0.3, 0.4)
+        assert r == SideInvestment(-1.0)
+        assert r.as_legs() == (0.0, 1.0)
 
     def test_indifferent_at_price(self):
-        assert naive_best_response(0.4, 0.4) == (INDIFFERENT, INDIFFERENT)
+        assert naive_best_response(0.4, 0.4) is None
+
+    @given(interior, interior)
+    @example(b=0.4, p=0.4)
+    def test_best_response_is_all_in_or_none(self, b, p):
+        r = naive_best_response(b, p)
+        if b == p:
+            assert r is None
+        else:
+            assert r.stake == (1.0 if b > p else -1.0)
 
     @given(interior, interior, st.floats(min_value=0.0, max_value=1.0))
     def test_best_response_dominates_grid(self, b, p, s):
-        a_side, b_side = naive_best_response(b, p)
-        if a_side is INDIFFERENT:
+        r = naive_best_response(b, p)
+        if r is None:
             return
-        best = max(
-            naive_utility(p, b, next(iter(a_side))),
-            naive_utility(1.0 - p, 1.0 - b, next(iter(b_side))),
-        )
+        sa, sb = r.as_legs()
+        best = max(naive_utility(p, b, sa), naive_utility(1.0 - p, 1.0 - b, sb))
         assert best >= naive_utility(p, b, s) - 1e-12
         assert best >= naive_utility(1.0 - p, 1.0 - b, s) - 1e-12
 
@@ -472,18 +512,46 @@ class TestTaxedEquilibrium:
         with pytest.raises(ValueError, match="positive"):
             taxed_equilibrium_finite(beliefs, -1.0)
 
-    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
-    def test_rejects_non_finite_k(self, example1, k):
-        _, _, beliefs = example1
-        for call in (
+    @staticmethod
+    def taxed_entry_points(beliefs, k):
+        return (
             lambda: taxed_equilibrium_finite(beliefs, k),
             lambda: tax_function(1.0, 0.4, k),
             lambda: taxed_utility(0.4, 0.6, 0.1, k),
             lambda: taxed_best_response(0.6, 0.4, k),
             lambda: taxed_best_response_asymptotic(0.6, 0.4, k),
-        ):
+            lambda: solve_market(beliefs, MarketKind.TAXED_FINITE, k),
+            lambda: market_aggregator(MarketKind.TAXED_FINITE, k),
+        )
+
+    @pytest.mark.parametrize(
+        "k", [float("inf"), float("nan"), pytest.param(10**400, id="int_1e400")]
+    )
+    def test_rejects_non_finite_k(self, example1, k):
+        _, _, beliefs = example1
+        for call in self.taxed_entry_points(beliefs, k):
             with pytest.raises(ValueError, match="finite positive k"):
                 call()
+
+    @pytest.mark.parametrize("k", [5e-324, 1e-310])
+    def test_rejects_subnormal_k(self, example1, k):
+        # Below the smallest normal float, k * b loses the belief's digits.
+        _, _, beliefs = example1
+        for call in self.taxed_entry_points(beliefs, k):
+            with pytest.raises(ValueError, match="finite positive k >= 2.2250738585072014e-308"):
+                call()
+
+    def test_accepts_the_smallest_normal_k(self, example1):
+        _, _, beliefs = example1
+        k = sys.float_info.min
+        assert k == 2.2250738585072014e-308
+        for call in self.taxed_entry_points(beliefs, k):
+            call()
+        # So tiny a tax leaves the Kelly market.
+        result = taxed_equilibrium_finite(beliefs, k)
+        kelly = kelly_equilibrium(beliefs)
+        assert abs(result.price - kelly.price) <= 1e-12
+        assert max(abs(s - t) for s, t in zip(result.stakes, kelly.stakes)) <= 1e-12
 
 
 # Beliefs within 1e-12 of 0 or 1, for the hostile-input fuzz.
@@ -576,6 +644,16 @@ class TestTaxedSolverContract:
         panel[rng.choice(n, len(hostile), replace=False)] = hostile
         self.assert_certified_or_raised(panel.tolist(), k)
 
+    def test_overflowing_tax_scale_raises_at_once(self, example1):
+        # At k = 1e308, a = k p/(1-p) overflows at the probes above p of about
+        # 0.64, where a lone agent believing 0.8 stakes on A.  Such a probe
+        # cannot certify, so it raises before any Newton step.
+        with pytest.raises(BracketingError, match=r"k p/\(1-p\) overflows at p=.*, k=1e\+308"):
+            taxed_equilibrium_finite(BeliefProfile((0.8,)), 1e308)
+        _, _, beliefs = example1
+        result = self.assert_certified_or_raised(list(beliefs.b), 1e308)
+        assert result is not None and result.price > 0.5
+
     @pytest.mark.parametrize("k", HUGE_TAX_RATES)
     def test_huge_k_solves_ordinary_panels(self, k):
         rng = random.Random(31)
@@ -655,7 +733,7 @@ class TestBestResponseMonotonicity:
         for _ in range(40):
             belief, k = rng.uniform(0.02, 0.98), 10.0 ** rng.uniform(-6.0, 7.0)
             naive = [naive_best_response(belief, p) for p in self.PRICES if p != belief]
-            self.assert_monotone([(next(iter(a)), next(iter(b))) for a, b in naive])
+            self.assert_monotone([r.as_legs() for r in naive])
             self.assert_monotone([kelly_best_response(belief, p).as_legs() for p in self.PRICES])
             self.assert_monotone(
                 [taxed_best_response(belief, p, k).as_legs() for p in self.PRICES],
@@ -694,7 +772,7 @@ def half_price_panels(seed: int):
 
 def solved_offset(q: tuple[float, ...], y: str, kind: MarketKind, k: float) -> float:
     beliefs = beliefs_from_signals(CompetenceProfile(q), SignalProfile(tuple(y)))
-    return solve_market(beliefs, kind, k)[1]
+    return solve_market(beliefs, kind, k).offset
 
 
 class TestHalfPriceDecisions:
@@ -731,3 +809,50 @@ class TestHalfPriceDecisions:
             )
             checked += 1
         assert checked >= 50
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestResultOffset:
+    """solve_market returns a result for every kind, whose offset reads its decision."""
+
+    @staticmethod
+    def documented_offset(kind: MarketKind, price: float, n: int) -> float:
+        if kind is MarketKind.NAIVE:
+            return float(np.sign(price - 0.5))
+        if kind is MarketKind.TAXED_ASYMPTOTIC:
+            return (n / 2) * log(price / (1.0 - price))
+        return n * (price - 0.5)
+
+    @pytest.mark.parametrize("kind", list(MarketKind))
+    def test_offset_is_the_documented_rule(self, kind):
+        rng = random.Random(43)
+        for q, y in half_price_panels(seed=5):
+            k = 10.0 ** rng.uniform(-6.0, 7.0) if kind is MarketKind.TAXED_FINITE else None
+            beliefs = beliefs_from_signals(CompetenceProfile(q), SignalProfile(tuple(y)))
+            result = solve_market(beliefs, kind, k)
+            assert type(result) is EquilibriumResult and result.kind is kind
+            assert len(result.stakes) == len(q)
+            expected = self.documented_offset(kind, result.price, len(q))
+            assert type(result.offset) is float
+            assert result.offset == expected and copysign(1.0, result.offset) == copysign(
+                1.0, expected
+            ), (q, y, k)
+
+    def test_asymptotic_result_matches_the_golden(self, example1):
+        _, _, beliefs = example1
+        golden = json.loads((GOLDEN / "solve_example1_taxed_asymptotic.json").read_text())
+        result = solve_market(beliefs, MarketKind.TAXED_ASYMPTOTIC, None)
+        assert result.stakes == (0.0,) * beliefs.n
+        assert result.price == golden["price"] == taxed_equilibrium_asymptotic(beliefs)
+        assert result.k is golden["k"] is None
+        assert result.diagnostics == markets.Diagnostics()
+        assert result.diagnostics.residual == golden["clearing_residual"]
+        assert result.diagnostics.iterations == golden["iterations"]
+        assert result.diagnostics.degenerate is golden["degenerate"] is False
+        assert str(decision_from_offset(result.offset)) == golden["decision"]
+        for agent, s in zip(golden["agents"], result.stakes):
+            assert (agent["side"], agent["fraction"], agent["sA"], agent["sB"]) == (
+                None, s, s, s,
+            )

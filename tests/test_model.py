@@ -13,6 +13,7 @@ from jurymarkets import (
     ENUMERATION_CAP,
     STATE_A,
     STATE_B,
+    STATES,
     BeliefProfile,
     CompetenceProfile,
     Decision,
@@ -90,6 +91,12 @@ class TestBeliefsFromSignals:
     def test_worked_example_2(self, example2):
         _, _, b = example2
         assert b.b == (0.8, 0.4, 0.4, 0.4)
+
+    @given(competences, st.randoms(use_true_random=False))
+    def test_each_belief_is_the_posterior(self, q, rng):
+        y = tuple(rng.choice(STATES) for _ in q)
+        b = beliefs_from_signals(CompetenceProfile(q), SignalProfile(y))
+        assert b.b == tuple(posterior_belief(qi, yi) for qi, yi in zip(q, y))
 
     def test_length_mismatch(self):
         q = CompetenceProfile((0.6, 0.7))

@@ -150,7 +150,7 @@ def scalar_decider(agg, q: CompetenceProfile):
 def solved_market_decider(q: CompetenceProfile, kind: MarketKind, k: float | None = None):
     """Decides one profile from its solved clearing price, not by the aggregator."""
     return lambda y: decision_from_offset(
-        solve_market(beliefs_from_signals(q, SignalProfile(y)), kind, k)[1]
+        solve_market(beliefs_from_signals(q, SignalProfile(y)), kind, k).offset
     )
 
 
