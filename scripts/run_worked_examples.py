@@ -12,13 +12,13 @@ agreement table, and the exact accuracy of each weight scheme.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from jurymarkets import (
     BeliefProfile,
     CompetenceProfile,
     SignalProfile,
-    beliefs_from_signals,
     check_all_schemes,
     exact_accuracy,
     kelly_equilibrium,
@@ -32,7 +32,8 @@ from jurymarkets import (
     weights_linear,
     weights_log_odds,
 )
-from jurymarkets.cli import ExperimentConfig, load_config
+from jurymarkets.cli import _config_beliefs, _require_competences, _require_signals, load_config
+from jurymarkets.markets import _check_k
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIGS = (
@@ -50,10 +51,7 @@ def _stakes(label: str, result) -> str:
     return f"  {label}: price={result.price!r}  [{legs or 'no trade'}]"
 
 
-def report(cfg: ExperimentConfig, k: float) -> None:
-    q = CompetenceProfile(cfg.competences)
-    y = SignalProfile(cfg.signals)
-    b = beliefs_from_signals(q, y)
+def report(q: CompetenceProfile, y: SignalProfile, b: BeliefProfile, k: float) -> None:
     votes = votes_from_beliefs(b)
     print(f"competences {q.q}  signals {''.join(y.y)}")
     print(f"beliefs     {tuple(round(x, 12) for x in b.b)}")
@@ -107,9 +105,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    for path in args.config or DEFAULT_CONFIGS:
+    # Every input is checked before anything is printed.
+    panels = []
+    try:
+        _check_k(args.k)
+        for path in args.config or DEFAULT_CONFIGS:
+            cfg = load_config(str(path))
+            q = _require_competences(cfg, str(path))
+            y = _require_signals(cfg, str(path))
+            panels.append((path, q, y, _config_beliefs(cfg)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    for path, q, y, b in panels:
         print(f"=== {path.name} ===")
-        report(load_config(str(path)), args.k)
+        report(q, y, b, args.k)
         print()
     return 0
 

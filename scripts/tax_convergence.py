@@ -27,15 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from jurymarkets import (
-    BeliefProfile,
-    CompetenceProfile,
-    SignalProfile,
-    beliefs_from_signals,
     taxed_best_response_asymptotic,
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
 )
-from jurymarkets.cli import load_config
+from jurymarkets.cli import ConfigError, _config_beliefs, load_config
+from jurymarkets.markets import _check_k
 
 REPO = Path(__file__).resolve().parents[1]
 COLUMNS = (
@@ -51,9 +48,12 @@ COLUMNS = (
 def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return tuple(float(k) for k in np.logspace(-2, 4, 13))
-    grid = tuple(float(part) for part in text.split(","))
-    if not all(k > 0 for k in grid):
-        raise SystemExit("--k-grid entries must be positive")
+    try:
+        grid = tuple(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--k-grid {text!r} is not a comma-separated list of reals") from exc
+    for k in grid:
+        _check_k(k)
     return grid
 
 
@@ -71,17 +71,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", type=Path, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    cfg = load_config(str(args.config))
-    if cfg.competences is not None:
-        b = beliefs_from_signals(
-            CompetenceProfile(cfg.competences), SignalProfile(cfg.signals)
-        )
-    else:
-        b = BeliefProfile(cfg.beliefs)
+    try:
+        b = _config_beliefs(load_config(str(args.config)))
+        grid = _parse_grid(args.k_grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     asym_price = taxed_equilibrium_asymptotic(b)
 
     rows = []
-    for k in _parse_grid(args.k_grid):
+    for k in grid:
         result = taxed_equilibrium_finite(b, k)
         strategy_gap = 0.0
         for belief, solved in zip(b.b, result.stakes):
@@ -98,7 +97,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
 
-    sink = open(args.output, "w", newline="") if args.output else sys.stdout
+    try:
+        sink = open(args.output, "w", newline="") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write output {str(args.output)!r}: {exc}", file=sys.stderr)
+        return 1
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(COLUMNS)

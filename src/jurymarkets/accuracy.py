@@ -35,10 +35,6 @@ from .voting import WeightProfile, decisions_from_offsets
 EXACT_MAX_AGENTS = 12
 VERIFY_MAX_AGENTS = 10
 
-# The weights each market other than the finite taxed one decides by (see
-# market_aggregator): its pairing's election weights.
-MARKET_WEIGHTS = {kind: WEIGHT_SCHEMES[scheme] for scheme, kind in PAIRINGS.values()}
-
 MONTE_CARLO_BATCH = 65_536
 # Rows whose dot-product margin lands this close to zero are recomputed
 # with exact summation before the tie band is applied.
@@ -92,6 +88,13 @@ def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarr
     return decisions_from_offsets(margins)
 
 
+def _weighted_majority(
+    name: str, weights_fn: Callable[[CompetenceProfile], WeightProfile]
+) -> Aggregator:
+    """The one weighted-majority Aggregator: weights_fn(q) once per decide call."""
+    return Aggregator(name, lambda q, signals: _majority_decisions(signals, weights_fn(q)))
+
+
 def majority_aggregator(scheme: str) -> Aggregator:
     """Weighted-majority rule under a named weight scheme.
 
@@ -103,16 +106,12 @@ def majority_aggregator(scheme: str) -> Aggregator:
         raise ValueError(
             f"unknown weight scheme {scheme!r}; expected one of {sorted(WEIGHT_SCHEMES)}"
         )
-    weights_fn = WEIGHT_SCHEMES[scheme]
-    return Aggregator(
-        name=f"majority_{scheme}",
-        decide=lambda q, signals: _majority_decisions(signals, weights_fn(q)),
-    )
+    return _weighted_majority(f"majority_{scheme}", WEIGHT_SCHEMES[scheme])
 
 
 def fixed_weights_aggregator(name: str, weights: WeightProfile) -> Aggregator:
     """Weighted-majority rule under an explicit weight vector."""
-    return Aggregator(name=name, decide=lambda q, signals: _majority_decisions(signals, weights))
+    return _weighted_majority(name, lambda q: weights)
 
 
 def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
@@ -123,23 +122,19 @@ def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
     is the stake of belief q_i at price 1/2 (a B-signal agent stakes on B
     what an A-signal agent of the same competence stakes on A).  For the
     naive, Kelly and asymptotic taxed markets these weights are, up to a
-    positive factor, the paired election's: 1, 2q - 1 and the log-odds.
-    The finite taxed market's come from taxed_half_price_weights, whose
-    margin reads like solve_market's offset n (p* - 1/2) in the tie band.
+    positive factor, the paired election's (1, 2q - 1, log-odds), read from
+    PAIRINGS and WEIGHT_SCHEMES.  Only the finite taxed market reads k; its
+    weights come from taxed_half_price_weights, whose margin reads like
+    solve_market's offset n (p* - 1/2) in the tie band.
     """
-    name = f"market_{kind.value}"
     if kind is MarketKind.TAXED_FINITE:
         _check_k(k)
-        name += f"_k={k:g}"
-
-        def weights_fn(q: CompetenceProfile) -> WeightProfile:
-            return WeightProfile(tuple(taxed_half_price_weights(np.array(q.q), k).tolist()))
-
-    else:
-        weights_fn = MARKET_WEIGHTS[kind]
-    return Aggregator(
-        name=name, decide=lambda q, signals: _majority_decisions(signals, weights_fn(q))
-    )
+        return _weighted_majority(
+            f"market_{kind.value}_k={k:g}",
+            lambda q: WeightProfile(tuple(taxed_half_price_weights(np.array(q.q), k).tolist())),
+        )
+    scheme = next(scheme for scheme, paired in PAIRINGS.values() if paired is kind)
+    return _weighted_majority(f"market_{kind.value}", WEIGHT_SCHEMES[scheme])
 
 
 def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:

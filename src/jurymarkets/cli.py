@@ -302,15 +302,13 @@ def _config_beliefs(cfg: ExperimentConfig) -> BeliefProfile:
 
 
 def _require_market(cfg: ExperimentConfig, why: str) -> MarketKind:
+    """The configured market, with the k it needs; the library ignores k elsewhere."""
     if cfg.market is None:
         raise ConfigError(f"{why} requires a market kind (config field or --market)")
-    return MarketKind(cfg.market)
-
-
-def _require_k(cfg: ExperimentConfig) -> float:
-    if cfg.k is None:
+    kind = MarketKind(cfg.market)
+    if kind is MarketKind.TAXED_FINITE and cfg.k is None:
         raise ConfigError("market=taxed_finite requires a positive k (config field or --k)")
-    return cfg.k
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +394,7 @@ Output = tuple[int, dict | None, tuple[str, ...], Iterable[tuple]]
 def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     kind = _require_market(cfg, "solve")
-    k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-    result = solve_market(beliefs, kind, k)
+    result = solve_market(beliefs, kind, cfg.k)
     price, d = result.price, result.diagnostics
     residual, iterations, degenerate = d.residual, d.iterations, d.degenerate
     decision = str(decision_from_offset(result.offset))
@@ -410,7 +407,7 @@ def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     record = {
         "command": "solve",
         "market": kind.value,
-        "k": k,
+        "k": result.k,
         "price": price,
         "decision": decision,
         "clearing_residual": residual,
@@ -424,7 +421,7 @@ def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     )
     rows = (  # lazy: one row per agent, and n may be large
         (
-            a["agent"], a["belief"], a["side"], a["fraction"], kind.value, k,
+            a["agent"], a["belief"], a["side"], a["fraction"], kind.value, result.k,
             price, decision, residual, iterations, degenerate,
         )
         for a in agents
@@ -494,9 +491,7 @@ def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEMES)
     aggregators = [majority_aggregator(s) for s in schemes]
     if cfg.market is not None:
-        kind = MarketKind(cfg.market)
-        k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-        aggregators.append(market_aggregator(kind, k))
+        aggregators.append(market_aggregator(_require_market(cfg, "accuracy"), cfg.k))
     estimates = []
     for agg in aggregators:
         if cfg.trials is not None:
@@ -571,7 +566,7 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
             f"verify supports up to {GRID_ORACLE_MAX_AGENTS} agents, got {beliefs.n}"
         )
     if cfg.market is not None:
-        kinds = [MarketKind(cfg.market)]
+        kinds = [_require_market(cfg, "verify")]
     else:
         kinds = [MarketKind.NAIVE, MarketKind.KELLY]
         if cfg.k is not None:
@@ -584,15 +579,14 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
                 "verify cross-checks finite best responses; "
                 "use market=taxed_finite with a k"
             )
-        k = _require_k(cfg) if kind is MarketKind.TAXED_FINITE else None
-        result = solve_market(beliefs, kind, k)
-        intervals = grid_equilibrium_search(beliefs, kind, k)
+        result = solve_market(beliefs, kind, cfg.k)
+        intervals = grid_equilibrium_search(beliefs, kind, cfg.k)
         contained = any(lo <= result.price <= hi for lo, hi in intervals)
         unique = len(intervals) == 1 if kind is MarketKind.NAIVE else None
         checks.append(
             {
                 "market": kind.value,
-                "k": k,
+                "k": result.k,
                 "price": result.price,
                 "intervals": [[lo, hi] for lo, hi in intervals],
                 "contained": contained,

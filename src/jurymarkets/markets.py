@@ -115,7 +115,10 @@ class InvestmentProfile:
 class Diagnostics:
     """Solver bookkeeping attached to every equilibrium result.
 
-    ``residual`` is the imbalance in security quantities,
+    Diagnostics describe a solved market.  A closed-form price (the
+    asymptotic taxed market) has none and carries the empty Diagnostics():
+    0 iterations, residual 0 and degenerate False, even beside all-zero
+    stakes.  ``residual`` is the imbalance in security quantities,
     (1/p) * sum(sA) - (1/(1-p)) * sum(sB); ``degenerate`` marks markets with
     no trade on some side, where that ratio is not defined.  The taxed
     solver also reports its price probes as ``iterations``, its Newton steps
@@ -307,6 +310,7 @@ def taxed_foc_residual(s: float, b: float, p: float, k: float) -> float:
     k * b * exp(-k s) / (k p/(1-p) + 1 - exp(-k s)) - (1-b) / (1-s).
     Positive below the optimum, negative above it.
     """
+    _check_k(k)
     a = k * p / (1.0 - p)
     return k * b * exp(-k * s) / (a - expm1(-k * s)) - (1.0 - b) / (1.0 - s)
 
@@ -608,10 +612,13 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
 
 
 def solve_market(b: BeliefProfile, kind: MarketKind, k: float | None) -> EquilibriumResult:
-    """Solve one market kind; only the finite taxed market reads k.
+    """Solve one market kind; only the finite taxed market reads k, and
+    only its result records it (``result.k``; None for every other kind).
 
     The asymptotic result holds the closed-form price, one zero stake per
-    agent (the k -> infinity limit of every taxed stake) and no diagnostics.
+    agent (the k -> infinity limit of every taxed stake) and the empty
+    Diagnostics() of a closed form, whose degenerate is False although no
+    agent trades: diagnostics describe solved markets only.
     """
     if kind is MarketKind.NAIVE:
         return naive_equilibrium(b)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import inf
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -174,9 +174,9 @@ def grid_equilibrium_search(
             "use MarketKind.TAXED_FINITE with a k"
         )
     if kind is MarketKind.TAXED_FINITE:
-        if k is None or not 0.0 < k < inf:  # the chained test also rejects NaN
+        if k is None or not float_info.min <= k <= float_info.max:  # normal; not NaN
             raise ValueError(
-                f"taxed search needs a finite positive tax intensity, got k={k!r}"
+                f"taxed search needs a finite positive k >= {float_info.min!r}, got k={k!r}"
             )
     else:
         k = None

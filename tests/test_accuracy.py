@@ -23,6 +23,7 @@ from jurymarkets import (
     verify_optimal_weights,
 )
 from jurymarkets.accuracy import _batch_generator, _sample_signals
+from jurymarkets.equivalence import PAIRINGS, WEIGHT_SCHEMES
 from tests.conftest import random_competences
 
 competence_lists = st.lists(
@@ -142,6 +143,32 @@ class TestMarketAggregators:
                 exact_accuracy(market_aggregator(MarketKind.KELLY), q).value
                 == exact_accuracy(majority_aggregator("linear"), q).value
             )
+
+    @pytest.mark.parametrize(
+        "scheme, kind", PAIRINGS.values(), ids=[kind.value for _, kind in PAIRINGS.values()]
+    )
+    def test_market_decisions_equal_paired_majority(self, scheme, kind):
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            q = CompetenceProfile(tuple(rng.uniform(0.51, 0.99, n).tolist()))
+            signals = rng.random((256, n)) < 0.5
+            market = market_aggregator(kind).decide(q, signals)
+            election = majority_aggregator(scheme).decide(q, signals)
+            assert market.dtype == np.int8
+            assert np.array_equal(market, election)
+
+    def test_market_reads_the_live_scheme_table(self, monkeypatch):
+        calls = []
+        original = WEIGHT_SCHEMES["linear"]
+
+        def counting(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setitem(WEIGHT_SCHEMES, "linear", counting)
+        q = CompetenceProfile((0.9, 0.7, 0.6))
+        market_aggregator(MarketKind.KELLY).decide(q, signal_matrix(q.n))
+        assert calls == [q]
 
 
 class TestMonteCarlo:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -25,6 +26,11 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 EXAMPLE_1 = REPO / "configs" / "example1.json"
 EXAMPLE_2 = REPO / "configs" / "example2.json"
+# The checkout's package comes first, so the CLI runs it without an install.
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))),
+)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -32,6 +38,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "jurymarkets.cli", *args],
         capture_output=True,
         cwd=REPO,
+        env=ENV,
     )
 
 
@@ -493,6 +500,27 @@ class TestConfigValidation:
         result = run_cli("solve", "--config", str(config))
         assert result.returncode == 1
         assert b"requires a positive k" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, market, fragment",
+        [
+            ("accuracy", "taxed_finite", "market=taxed_finite requires a positive k"),
+            ("verify", "taxed_finite", "market=taxed_finite requires a positive k"),
+            ("verify", "taxed_asymptotic", "verify cross-checks finite best responses"),
+            ("solve", None, "solve requires a market kind"),
+        ],
+    )
+    def test_market_selection_errors(self, tmp_path, command, market, fragment):
+        data = dict(self.base(), signals=["A", "B"])
+        if market is not None:
+            data["market"] = market
+        config = tmp_path / "market.json"
+        config.write_text(json.dumps(data))
+        result = run_cli(command, "--config", str(config))
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(f"error: {fragment}".encode())
+        assert result.stderr.count(b"\n") == 1
 
     def test_output_field_must_be_a_path(self, tmp_path):
         # `true` once opened file descriptor 1, wrote through it and closed stdout.

@@ -21,6 +21,7 @@ from jurymarkets import (
     CompetenceProfile,
     Decision,
     EquilibriumResult,
+    GridSpec,
     InvestmentProfile,
     MarketKind,
     SideInvestment,
@@ -509,8 +510,10 @@ class TestTaxedEquilibrium:
 
     def test_rejects_nonpositive_k(self, example1):
         _, _, beliefs = example1
-        with pytest.raises(ValueError, match="positive"):
-            taxed_equilibrium_finite(beliefs, -1.0)
+        for k in (-1.0, 0.0):
+            for call in self.taxed_entry_points(beliefs, k):
+                with pytest.raises(ValueError, match="positive"):
+                    call()
 
     @staticmethod
     def taxed_entry_points(beliefs, k):
@@ -520,8 +523,13 @@ class TestTaxedEquilibrium:
             lambda: taxed_utility(0.4, 0.6, 0.1, k),
             lambda: taxed_best_response(0.6, 0.4, k),
             lambda: taxed_best_response_asymptotic(0.6, 0.4, k),
+            lambda: taxed_foc_residual(0.1, 0.7, 0.5, k),
             lambda: solve_market(beliefs, MarketKind.TAXED_FINITE, k),
             lambda: market_aggregator(MarketKind.TAXED_FINITE, k),
+            # The brute-force oracle keeps its own check, with the same range.
+            lambda: grid_equilibrium_search(
+                beliefs, MarketKind.TAXED_FINITE, k, GridSpec(101, 101)
+            ),
         )
 
     @pytest.mark.parametrize(

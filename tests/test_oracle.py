@@ -120,7 +120,7 @@ class TestLogUtilityGrids:
             )
             assert any(lo <= price <= hi for lo, hi in intervals), (k, price, intervals)
 
-    @pytest.mark.parametrize("k", [None, 0.0, -1.0, nan, inf])
+    @pytest.mark.parametrize("k", [None, 0.0, -1.0, nan, inf, 5e-324, 1e-310])
     def test_taxed_needs_k(self, example1, k):
         _, _, beliefs = example1
         with pytest.raises(ValueError, match="k"):

@@ -1,7 +1,10 @@
-"""The bundled scripts' stdout, pinned byte for byte against goldens."""
+"""The bundled scripts: stdout pinned byte for byte against goldens, and
+bad input ending in one error line rather than a traceback."""
 
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,28 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
+# The checkout's package comes first, so the scripts run it without an install.
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))),
+)
+
+
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True,
+        cwd=REPO,
+        env=ENV,
+    )
+
+
+def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.startswith(b"error: ")
+    assert result.stderr.count(b"\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -20,8 +45,43 @@ GOLDEN = REPO / "tests" / "golden"
     ],
 )
 def test_stdout_matches_golden(script, golden):
-    result = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script)], capture_output=True, cwd=REPO
-    )
+    result = run_script(script)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (GOLDEN / golden).read_bytes()
+
+
+NO_SIGNALS = {"agents": [{"competence": 0.7}, {"competence": 0.6}]}
+BELIEFS = {"agents": [{"belief": 0.7}, {"belief": 0.4}]}
+
+
+@pytest.mark.parametrize(
+    "script, config, args",
+    [
+        ("run_worked_examples.py", NO_SIGNALS, ()),
+        ("tax_convergence.py", NO_SIGNALS, ()),
+        ("run_worked_examples.py", BELIEFS, ()),
+        ("run_worked_examples.py", None, ("--k", "5e-324")),
+        ("run_worked_examples.py", None, ("--k", "nan")),
+        ("tax_convergence.py", None, ("--k-grid", "5e-324")),
+        ("tax_convergence.py", None, ("--k-grid", "1,inf")),
+        ("tax_convergence.py", None, ("--k-grid", "abc")),
+    ],
+    ids=[
+        "worked-no-signals", "convergence-no-signals", "worked-beliefs", "worked-subnormal-k",
+        "worked-nan-k", "convergence-subnormal-k", "convergence-inf-k", "convergence-abc",
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, script, config, args):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ("--config", str(path), *args)
+    result = run_script(script, *args)
+    assert_one_error_line(result)
+
+
+def test_unwritable_output_is_one_error_line(tmp_path):
+    result = run_script("tax_convergence.py", "--output", str(tmp_path / "missing" / "out.csv"))
+    assert_one_error_line(result)
+    assert b"cannot write output" in result.stderr
+
