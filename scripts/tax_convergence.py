@@ -11,6 +11,10 @@ those limits differ whenever the price is away from 0.5.  The per-agent
 strategy gaps do vanish, and both prices stay on the same side of 0.5 --
 which is what the decision-level equivalence needs.
 
+A tax rate that fails to solve ends the run before any CSV is written, with
+one ``solver error: ...`` line on stderr and exit status 2, as the CLI's
+``solve`` does.
+
     python scripts/tax_convergence.py
     python scripts/tax_convergence.py --config configs/example2.json \
         --k-grid 1,10,100,1000 --output convergence.csv
@@ -32,7 +36,7 @@ from jurymarkets import (
     taxed_equilibrium_finite,
 )
 from jurymarkets.cli import ConfigError, _config_beliefs, load_config
-from jurymarkets.markets import _check_k
+from jurymarkets.markets import BracketingError, UndefinedPriceError, _check_k
 
 REPO = Path(__file__).resolve().parents[1]
 COLUMNS = (
@@ -81,7 +85,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     for k in grid:
-        result = taxed_equilibrium_finite(b, k)
+        try:
+            result = taxed_equilibrium_finite(b, k)
+        except (UndefinedPriceError, BracketingError) as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 2
         strategy_gap = 0.0
         for belief, solved in zip(b.b, result.stakes):
             target = taxed_best_response_asymptotic(belief, asym_price, k).stake

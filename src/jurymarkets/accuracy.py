@@ -8,15 +8,16 @@ agent matching it with her competence, and the two states are equally
 likely a priori.
 
 Every aggregator is a batch rule: it decides a boolean signal matrix, one
-row per profile, in one call.  Weighted majorities score the whole matrix
-with one matmul.  So do markets: each is decided as the weighted majority
-of its stakes at price 1/2, and no price is solved.  Exact values decide
-the full signal space once (2^n profiles, capped at n = 12) and score both
-states from that one decision vector; larger juries are estimated by
-seeded Monte Carlo, which decides each sampled batch the same way, with
-counter-based substreams, so results are reproducible and independent of
-batching.  verify_optimal_weights confronts the log-odds weighting with
-rival weight vectors on exact accuracies.
+row per profile, in one call.  Weighted majorities score the matrix with
+one matmul per cache-sized block of rows.  So do markets: each is decided
+as the weighted majority of its stakes at price 1/2, and no price is
+solved.  Exact values decide the full signal space once (2^n profiles,
+capped at n = 12) and score both states from that one decision vector;
+larger juries are estimated by seeded Monte Carlo, which decides each
+sampled batch the same way, with counter-based substreams, so results are
+reproducible and independent of batching.  verify_optimal_weights
+confronts the log-odds weighting with rival weight vectors on exact
+accuracies.
 """
 
 from __future__ import annotations
@@ -73,16 +74,27 @@ class AccuracyEstimate:
             raise ValueError(f"tie_mass {self.tie_mass!r} outside [0, 1]")
 
 
+def _block_rows(n: int) -> int:
+    """Rows of an n-agent signal matrix that fill 1 MiB as float64."""
+    return max(1, 2**20 // (8 * n))
+
+
 def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarray:
     """Weighted-majority decisions for every row of a signal matrix.
 
-    A-signal agents vote A.  Margins come from one matmul; rows within
-    MARGIN_RESCUE_BOUND of zero are recomputed with exact summation, the
-    same fsum weighted_margin uses, before the shared tie band is applied.
+    A-signal agents vote A.  Margins come from one matmul per block of
+    _block_rows rows; rows within MARGIN_RESCUE_BOUND of zero are recomputed
+    with exact summation, the same fsum weighted_margin uses, before the
+    shared tie band is applied.  The rescue makes decisions independent of
+    the float summation order, hence of the block size.
     """
     w = np.array(weights.w, dtype=float)
     half_total = 0.5 * fsum(weights.w)
-    margins = signals.astype(float) @ w - half_total
+    margins = np.empty(len(signals))
+    step = _block_rows(w.size)
+    for start in range(0, len(signals), step):
+        margins[start : start + step] = signals[start : start + step].astype(float) @ w
+    margins -= half_total
     for row in np.flatnonzero(np.abs(margins) < MARGIN_RESCUE_BOUND):
         margins[row] = fsum(w[signals[row]].tolist()) - half_total
     return decisions_from_offsets(margins)
@@ -181,11 +193,22 @@ def _sample_signals(
     """Sample (states, signals) for one batch.
 
     states is a boolean vector (True = state A); signals is a boolean matrix
-    (True = the agent's signal, and so her belief, favours A).
+    (True = the agent's signal, and so her belief, favours A).  Signals are
+    drawn block by block from raw Philox words, bit for bit the matrix
+    ``(rng.random((size, n)) < q) == states[:, None]`` at the same stream
+    positions, without its float64 uniforms.
     """
     states = rng.random(size) < 0.5
-    # A signal favours A exactly when "it matches the state" equals "the state is A".
-    signals = (rng.random((size, q_vec.size)) < q_vec) == states[:, None]
+    # A Philox double is (raw >> 11) * 2**-53, so random() < q exactly when
+    # raw >> 11 < ceil(q * 2**53), that is raw < this threshold (q < 1).
+    thresholds = np.ceil(q_vec * 2.0**53).astype(np.uint64) << np.uint64(11)
+    signals = np.empty((size, q_vec.size), dtype=bool)
+    step = _block_rows(q_vec.size)
+    for start in range(0, size, step):
+        block = signals[start : start + step]
+        np.less(rng.bit_generator.random_raw(block.shape), thresholds, out=block)
+        # A signal favours A exactly when "it matches the state" equals "the state is A".
+        np.equal(block, states[start : start + step, None], out=block)
     return states, signals
 
 
@@ -195,11 +218,13 @@ def monte_carlo_accuracy(
     """Group accuracy by seeded simulation.
 
     The state is drawn fair, signals per competence, and each batch of
-    sampled profiles is decided in one decide call and scored as in
-    exact_accuracy; markets are decided there by their half-price weights,
-    with no price solved.  Batches use counter-based substreams keyed by
-    (seed, batch index), so the estimate is byte-identical however the
-    batches are scheduled.
+    MONTE_CARLO_BATCH sampled profiles is decided in one decide call and
+    scored as in exact_accuracy; markets are decided there by their
+    half-price weights, with no price solved.  Batches use counter-based
+    substreams keyed by (seed, batch index), so the estimate is
+    byte-identical however the batches are scheduled.  Within a batch,
+    signals are drawn and margins summed in row blocks of about 1 MiB, which
+    changes no draw and no decision.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")

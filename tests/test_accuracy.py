@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import comb, fsum
+from math import ceil, comb, fsum
 
 import numpy as np
 import pytest
@@ -22,9 +22,19 @@ from jurymarkets import (
     signal_matrix,
     verify_optimal_weights,
 )
-from jurymarkets.accuracy import _batch_generator, _sample_signals
+from jurymarkets.accuracy import (
+    MARGIN_RESCUE_BOUND,
+    _batch_generator,
+    _block_rows,
+    _majority_decisions,
+    _sample_signals,
+)
 from jurymarkets.equivalence import PAIRINGS, WEIGHT_SCHEMES
+from jurymarkets.voting import TIE_TOLERANCE
 from tests.conftest import random_competences
+
+# The largest double below 1, the most competent agent a profile admits.
+BELOW_ONE = 1 - 2.0**-53
 
 competence_lists = st.lists(
     st.floats(min_value=0.55, max_value=0.95), min_size=1, max_size=6
@@ -62,6 +72,45 @@ class TestBatchDecide:
             assert set(decisions.tolist()) <= {-1, 0, 1}
             rows = [int(agg.decide(q, signals[r : r + 1])[0]) for r in range(len(signals))]
             assert decisions.tolist() == rows, agg.name
+
+    def test_blocked_margins_decide_as_per_row_fsum(self, monkeypatch):
+        # Weights come in pairs (a_j, a_j + d_j).  A planted row votes A for
+        # exactly one of each pair, so its exact margin is half a signed sum
+        # of the d_j: 0 when every d_j is 0, and otherwise a near-tie on
+        # either side of the tie band and of the rescue bound.
+        rng = np.random.default_rng(11)
+        pairs = 32
+        a = rng.uniform(0.1, 3.0, pairs)
+        choose = rng.random((4_000, pairs)) < 0.5
+        planted = np.concatenate((choose, ~choose), axis=1)
+        generic = rng.random((1_001, 2 * pairs)) < 0.5
+        signals = np.concatenate((planted, generic))
+        rng.shuffle(signals)
+        block = _block_rows(2 * pairs)
+        assert len(signals) > block and len(signals) % block != 0
+
+        seen = []
+        for scale in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            w = np.concatenate((a, a + scale * rng.uniform(0.0, 2.0, pairs)))
+            half_total = 0.5 * fsum(w.tolist())
+            margins = np.array([fsum(w[row].tolist()) - half_total for row in signals])
+            expected = (margins > TIE_TOLERANCE).astype(int) - (margins < -TIE_TOLERANCE)
+            weights = WeightProfile(tuple(w.tolist()))
+            assert np.array_equal(_majority_decisions(signals, weights), expected), scale
+            # Seven-row blocks sum in another order and decide the same.
+            with monkeypatch.context() as patch:
+                patch.setattr("jurymarkets.accuracy._block_rows", lambda n: 7)
+                assert np.array_equal(_majority_decisions(signals, weights), expected), scale
+            if scale == 0.0:
+                ties = np.flatnonzero(margins == 0.0)
+                assert len(ties) >= len(planted)
+                # Float dot products miss some of these exact ties.
+                assert np.any(signals[ties].astype(float) @ w != half_total)
+            seen.extend(np.abs(margins).tolist())
+        seen = np.array(seen)
+        bound = MARGIN_RESCUE_BOUND
+        for low, high in ((0.0, TIE_TOLERANCE), (TIE_TOLERANCE, bound), (bound, 10 * bound)):
+            assert np.any((seen > low) & (seen <= high)), (low, high)
 
 
 class TestExactAccuracy:
@@ -230,15 +279,58 @@ class TestMonteCarlo:
     def test_sampled_signals_are_the_where_form(self):
         # Signals match the state with probability q: drawn as matches, then
         # flipped where the state is B.
-        q_vec = np.array([0.55, 0.6, 0.75, 0.9, 0.99, 0.5 + 2.0**-40])
-        for seed, size in ((0, 1), (3, 1000), (2**64 - 1, 4097)):
-            states, signals = _sample_signals(_batch_generator(seed, 7), q_vec, size)
+        extremes = np.array(
+            [0.55, 0.6, 0.75, 0.9, 0.99, 0.5 + 2.0**-40, 0.5 + 2.0**-53, BELOW_ONE]
+        )
+        # 3,001 agents: 1,000 rows fill 23 blocks of 43 rows and part of a 24th.
+        wide = np.random.default_rng(5).uniform(0.5, 1.0, 3001)
+        for q_vec, seed, size, blocks in (
+            (extremes, 0, 1, 1),
+            (extremes, 3, 1000, 1),
+            (extremes, 2**64 - 1, 4097, 1),
+            (wide, 4, 1000, 24),
+        ):
+            assert -(-size // _block_rows(q_vec.size)) == blocks
+            sampler = _batch_generator(seed, 7)
+            states, signals = _sample_signals(sampler, q_vec, size)
             rng = _batch_generator(seed, 7)
             expected_states = rng.random(size) < 0.5
             matches = rng.random((size, q_vec.size)) < q_vec
             assert np.array_equal(states, expected_states)
             assert signals.dtype == bool and signals.shape == (size, q_vec.size)
             assert np.array_equal(signals, np.where(expected_states[:, None], matches, ~matches))
+            # Both leave the stream at the same position.
+            assert np.array_equal(
+                sampler.bit_generator.random_raw(5), rng.bit_generator.random_raw(5)
+            )
+
+    def test_raw_word_rule_is_the_float_rule_at_its_edges(self):
+        # Philox's random() is (raw >> 11) * 2**-53.  Feed _sample_signals
+        # the raw words on both sides of every competence's threshold.  Below
+        # 1/2, q * 2**53 need not be an integer, so 0.3 and 1e-3 check the ceil.
+        q_vec = np.array([0.5 + 2.0**-53, 0.6, 0.75, BELOW_ONE, 0.3, 1e-3])
+        words = [0, 2**64 - 1]
+        for q in q_vec.tolist():
+            top = ceil(q * 2**53)  # the least 53-bit value whose double is not below q
+            for t in (top - 1, top):
+                words += [t << 11, (t << 11) | 0x7FF]
+        raw = np.tile(np.array(words, dtype=np.uint64)[:, None], (1, q_vec.size))
+
+        class RawWords:
+            """Draws state A for every row and hands out the planted raw words."""
+
+            bit_generator = property(lambda self: self)
+
+            def random(self, size):
+                return np.zeros(size)
+
+            def random_raw(self, shape):
+                assert shape == raw.shape
+                return raw
+
+        states, signals = _sample_signals(RawWords(), q_vec, len(words))
+        assert states.all()
+        assert np.array_equal(signals, (raw >> np.uint64(11)) * 2.0**-53 < q_vec)
 
     def test_batch_boundary_handling(self):
         q = CompetenceProfile((0.7, 0.7))

@@ -29,11 +29,13 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def assert_one_error_line(result: subprocess.CompletedProcess) -> None:
-    assert result.returncode == 1
+def assert_one_error_line(
+    result: subprocess.CompletedProcess, status: int = 1, prefix: bytes = b"error: "
+) -> None:
+    assert result.returncode == status
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
-    assert result.stderr.startswith(b"error: ")
+    assert result.stderr.startswith(prefix)
     assert result.stderr.count(b"\n") == 1
 
 
@@ -85,3 +87,11 @@ def test_unwritable_output_is_one_error_line(tmp_path):
     assert_one_error_line(result)
     assert b"cannot write output" in result.stderr
 
+
+def test_failed_solve_is_one_solver_error_line(tmp_path):
+    # Each input is valid, but the taxed first-order condition at k = 1e-4
+    # never changes sign for a belief this close to 1.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"agents": [{"belief": 0.9999999999999}, {"belief": 0.4}]}))
+    result = run_script("tax_convergence.py", "--config", str(path), "--k-grid", "1e-4")
+    assert_one_error_line(result, status=2, prefix=b"solver error: ")
