@@ -15,13 +15,17 @@ solved.  Exact values decide the full signal space once (2^n profiles,
 capped at n = 12) and score both states from that one decision vector;
 larger juries are estimated by seeded Monte Carlo, which decides each
 sampled batch the same way, with counter-based substreams, so results are
-reproducible and independent of batching.  verify_optimal_weights
+reproducible and independent of batching.  A batch's signals are drawn on
+one thread per CPU, each at its own counter offset in the batch's stream,
+so they do not depend on the number of CPUs either.  verify_optimal_weights
 confronts the log-odds weighting with rival weight vectors on exact
 accuracies.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import fsum, sqrt
 from typing import Callable
@@ -85,8 +89,11 @@ def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarr
     A-signal agents vote A.  Margins come from one matmul per block of
     _block_rows rows; rows within MARGIN_RESCUE_BOUND of zero are recomputed
     with exact summation, the same fsum weighted_margin uses, before the
-    shared tie band is applied.  The rescue makes decisions independent of
-    the float summation order, hence of the block size.
+    shared tie band is applied.  A rescued row's A-voters are grouped by
+    distinct weight, and each distinct vector of group counts is summed
+    once: fsum rounds the exact sum, so every row with that vector gets the
+    bits its own fsum would.  The rescue makes decisions independent of the
+    float summation order, hence of the block size.
     """
     w = np.array(weights.w, dtype=float)
     half_total = 0.5 * fsum(weights.w)
@@ -95,8 +102,16 @@ def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarr
     for start in range(0, len(signals), step):
         margins[start : start + step] = signals[start : start + step].astype(float) @ w
     margins -= half_total
-    for row in np.flatnonzero(np.abs(margins) < MARGIN_RESCUE_BOUND):
-        margins[row] = fsum(w[signals[row]].tolist()) - half_total
+    rescued = np.flatnonzero(np.abs(margins) < MARGIN_RESCUE_BOUND)
+    if rescued.size:
+        # A row's exact sum depends only on how many A-voters hold each
+        # distinct weight, so each distinct count vector is summed once.
+        order = np.argsort(w, kind="stable")
+        values, starts = np.unique(w[order], return_index=True)
+        counts = np.add.reduceat(signals[rescued][:, order], starts, axis=1, dtype=np.int64)
+        vectors, which = np.unique(counts, axis=0, return_inverse=True)
+        sums = np.array([fsum(np.repeat(values, vector).tolist()) for vector in vectors])
+        margins[rescued] = sums[which.reshape(-1)] - half_total
     return decisions_from_offsets(margins)
 
 
@@ -187,6 +202,30 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64)))
 
 
+def _sampling_workers() -> int:
+    """CPUs this process may run on: at most one signal-filling thread each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_signals(
+    bits: np.random.BitGenerator,
+    thresholds: np.ndarray,
+    states: np.ndarray,
+    signals: np.ndarray,
+    start: int,
+    stop: int,
+) -> None:
+    """Fill signal rows [start, stop) block by block from bits' raw words."""
+    step = _block_rows(thresholds.size)
+    for row in range(start, stop, step):
+        block = signals[row : min(row + step, stop)]
+        np.less(bits.random_raw(block.shape), thresholds, out=block)
+        # A signal favours A exactly when "it matches the state" equals "the state is A".
+        np.equal(block, states[row : row + len(block), None], out=block)
+
+
 def _sample_signals(
     rng: np.random.Generator, q_vec: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +236,17 @@ def _sample_signals(
     drawn block by block from raw Philox words, bit for bit the matrix
     ``(rng.random((size, n)) < q) == states[:, None]`` at the same stream
     positions, without its float64 uniforms.
+
+    Philox is counter-based: word w of a stream is a function of the key and
+    w alone.  So one thread per CPU (_sampling_workers, capped by the number
+    of blocks), the calling thread among them, claims blocks one at a time
+    and draws each from a Philox started at the block's first word; numpy
+    releases the GIL in the word generation and the comparisons.  Claiming
+    block by block, not in fixed runs, means a thread whose CPU stalls holds
+    back only its current block.  The threads are joined before return and
+    a block's exception is raised here.  The signals are the sequential
+    loop's, and rng is left where that loop leaves it.  With one CPU or a
+    batch of one block, that loop runs on rng itself.
     """
     states = rng.random(size) < 0.5
     # A Philox double is (raw >> 11) * 2**-53, so random() < q exactly when
@@ -204,11 +254,52 @@ def _sample_signals(
     thresholds = np.ceil(q_vec * 2.0**53).astype(np.uint64) << np.uint64(11)
     signals = np.empty((size, q_vec.size), dtype=bool)
     step = _block_rows(q_vec.size)
-    for start in range(0, size, step):
-        block = signals[start : start + step]
-        np.less(rng.bit_generator.random_raw(block.shape), thresholds, out=block)
-        # A signal favours A exactly when "it matches the state" equals "the state is A".
-        np.equal(block, states[start : start + step, None], out=block)
+    blocks = -(-size // step)
+    workers = min(_sampling_workers(), blocks)
+    if workers == 1:
+        _fill_signals(rng.bit_generator, thresholds, states, signals, 0, size)
+        return states, signals
+
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    # Philox computes words 4c .. 4c+3 when its counter steps from c to c+1.
+    position = 4 * counter + state["buffer_pos"] - 4  # the next word rng hands out
+
+    def philox_at(word: int) -> np.random.Philox:
+        bits = np.random.Philox(key=key, counter=word // 4)
+        bits.random_raw(word % 4)
+        return bits
+
+    starts = iter(range(0, size, step))
+    claim = threading.Lock()
+    errors: list[Exception] = []
+
+    def fill() -> None:
+        while True:
+            with claim:
+                start = next(starts, None)
+            if start is None or errors:
+                return
+            try:
+                bits = philox_at(position + start * q_vec.size)
+                _fill_signals(bits, thresholds, states, signals, start, min(start + step, size))
+            except Exception as exc:  # re-raised on the calling thread
+                errors.append(exc)
+
+    threads = [threading.Thread(target=fill) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        fill()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    end = philox_at(position + size * q_vec.size).state
+    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+    rng.bit_generator.state = end
     return states, signals
 
 
@@ -224,7 +315,9 @@ def monte_carlo_accuracy(
     substreams keyed by (seed, batch index), so the estimate is
     byte-identical however the batches are scheduled.  Within a batch,
     signals are drawn and margins summed in row blocks of about 1 MiB, which
-    changes no draw and no decision.
+    changes no draw and no decision; the blocks are drawn on one thread per
+    CPU (see _sample_signals), each holding one block of raw words at a
+    time, and every thread is joined before the batch is decided.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")

@@ -56,9 +56,11 @@ MAX_NEWTON_STEPS = 100
 # ulps of their scale, min(1, 1/k).
 ROUNDING_ULPS = 4.0 * float_info.epsilon
 
-# Upper end of the stake bracket: staking the whole endowment has log-utility
-# minus infinity, so the optimum always sits strictly inside.
-STAKE_BRACKET_HIGH = 1.0 - 1e-9
+# Upper end of the stake bracket, the largest double below 1: staking the
+# whole endowment has log-utility minus infinity, so the optimum always sits
+# strictly below 1.  It lies at or below this bound too, unless a B-staker's
+# mirrored belief 1 - b rounds to 1 (a belief of 1e-20, say).
+STAKE_BRACKET_HIGH = 1.0 - 2.0**-53
 
 
 class MarketKind(Enum):

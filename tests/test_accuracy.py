@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from math import ceil, comb, fsum
 
 import numpy as np
@@ -26,6 +28,7 @@ from jurymarkets.accuracy import (
     MARGIN_RESCUE_BOUND,
     _batch_generator,
     _block_rows,
+    _fill_signals,
     _majority_decisions,
     _sample_signals,
 )
@@ -89,28 +92,43 @@ class TestBatchDecide:
         block = _block_rows(2 * pairs)
         assert len(signals) > block and len(signals) % block != 0
 
-        seen = []
-        for scale in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
-            w = np.concatenate((a, a + scale * rng.uniform(0.0, 2.0, pairs)))
+        def per_row_fsum(w: np.ndarray) -> np.ndarray:
+            """Reference margins; checks the decisions against them."""
             half_total = 0.5 * fsum(w.tolist())
             margins = np.array([fsum(w[row].tolist()) - half_total for row in signals])
             expected = (margins > TIE_TOLERANCE).astype(int) - (margins < -TIE_TOLERANCE)
             weights = WeightProfile(tuple(w.tolist()))
-            assert np.array_equal(_majority_decisions(signals, weights), expected), scale
+            assert np.array_equal(_majority_decisions(signals, weights), expected)
             # Seven-row blocks sum in another order and decide the same.
             with monkeypatch.context() as patch:
                 patch.setattr("jurymarkets.accuracy._block_rows", lambda n: 7)
-                assert np.array_equal(_majority_decisions(signals, weights), expected), scale
+                assert np.array_equal(_majority_decisions(signals, weights), expected)
+            return margins
+
+        seen = []
+        for scale in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            w = np.concatenate((a, a + scale * rng.uniform(0.0, 2.0, pairs)))
+            margins = per_row_fsum(w)
             if scale == 0.0:
                 ties = np.flatnonzero(margins == 0.0)
                 assert len(ties) >= len(planted)
                 # Float dot products miss some of these exact ties.
-                assert np.any(signals[ties].astype(float) @ w != half_total)
+                assert np.any(signals[ties].astype(float) @ w != 0.5 * fsum(w.tolist()))
             seen.extend(np.abs(margins).tolist())
         seen = np.array(seen)
         bound = MARGIN_RESCUE_BOUND
         for low, high in ((0.0, TIE_TOLERANCE), (TIE_TOLERANCE, bound), (bound, 10 * bound)):
             assert np.any((seen > low) & (seen <= high)), (low, high)
+
+        # Few distinct weights: the rescued rows share a handful of count
+        # vectors, each summed once.
+        for w in (np.full(2 * pairs, 0.55), rng.choice([0.1, 0.2, 0.3], 2 * pairs)):
+            margins = per_row_fsum(w)
+            rescued = signals[np.abs(margins) < MARGIN_RESCUE_BOUND]
+            assert len(rescued) >= 100
+            values, group = np.unique(w, return_inverse=True)
+            vectors = {tuple(np.bincount(group[row], minlength=values.size)) for row in rescued}
+            assert len(vectors) < len(rescued) / 10
 
 
 class TestExactAccuracy:
@@ -347,6 +365,107 @@ class TestMonteCarlo:
         q = CompetenceProfile((0.7,))
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10, -1)
+
+
+def one_shot_signals(seed: int, lead: int, q_vec: np.ndarray, size: int):
+    """The batch drawn with no blocks and no threads: (states, signals, generator)."""
+    rng = _batch_generator(seed, 7)
+    rng.bit_generator.random_raw(lead)
+    states = rng.random(size) < 0.5
+    raw = rng.bit_generator.random_raw((size, q_vec.size))
+    matches = raw < (np.ceil(q_vec * 2.0**53).astype(np.uint64) << np.uint64(11))
+    return states, matches == states[:, None], rng
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond, so that a race shows in a short test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreadedSampling:
+    """Blocks claimed one at a time by one thread per CPU, each from its own Philox."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.usefixtures("fast_thread_switching")
+    def test_every_worker_count_draws_the_one_shot_batch(self, monkeypatch, workers):
+        monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: workers)
+        fills = []
+
+        def recording_fill(bits, thresholds, states, signals, start, stop):
+            fills.append((start, stop, threading.get_ident()))
+            _fill_signals(bits, thresholds, states, signals, start, stop)
+
+        monkeypatch.setattr("jurymarkets.accuracy._fill_signals", recording_fill)
+        panels = np.random.default_rng(13)
+        for n in (3, 101, 3001):
+            q_vec = panels.uniform(0.5, 1.0, n)
+            step = _block_rows(n)
+            sizes = [1, step, step + 1]
+            # 65,536 rows of 3,001 agents would hold 197 MB per matrix.
+            sizes += [1000] if n == 3001 else [65_535, 65_536, 65_537]
+            for size in sizes:
+                # Lead words before the batch shift every run's first word
+                # through all four offsets modulo 4.
+                for seed, lead in ((0, 0), (2**64 - 1, 1), (0, 2), (2**64 - 1, 3)):
+                    rng = _batch_generator(seed, 7)
+                    rng.bit_generator.random_raw(lead)
+                    fills.clear()
+                    states, signals = _sample_signals(rng, q_vec, size)
+                    want_states, want_signals, reference = one_shot_signals(seed, lead, q_vec, size)
+                    assert np.array_equal(states, want_states), (n, size, seed, lead)
+                    assert np.array_equal(signals, want_signals), (n, size, seed, lead)
+                    # One thread fills every row at once, or up to one
+                    # thread per worker fills each block once.
+                    threads = min(workers, -(-size // step))
+                    bounds = list(range(0, size, step)) + [size] if threads > 1 else [0, size]
+                    assert sorted(fill[:2] for fill in fills) == list(zip(bounds, bounds[1:]))
+                    assert len({fill[2] for fill in fills}) <= threads
+                    # The caller's stream ends where the one-shot draw ends.
+                    end, want = rng.bit_generator.state, reference.bit_generator.state
+                    assert np.array_equal(end["state"]["counter"], want["state"]["counter"])
+                    assert end["buffer_pos"] == want["buffer_pos"]
+                    assert np.array_equal(
+                        rng.bit_generator.random_raw(9), reference.bit_generator.random_raw(9)
+                    )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        q = CompetenceProfile(tuple(np.linspace(0.51, 0.9, 101).tolist()))
+        agg = majority_aggregator("linear")
+        with monkeypatch.context() as sequential:
+            sequential.setattr("jurymarkets.accuracy._sampling_workers", lambda: 1)
+            expected = monte_carlo_accuracy(agg, q, 70_001, 3)
+        monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: workers)
+        before = threading.active_count()
+        assert monte_carlo_accuracy(agg, q, 70_001, 3) == expected
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_failed_block_reaches_the_caller(self, monkeypatch, where):
+        monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: 3)
+        caller = threading.current_thread()
+        failed = threading.Event()
+
+        def failing_fill(bits, thresholds, states, signals, start, stop):
+            if (threading.current_thread() is not caller) == (where == "worker"):
+                failed.set()
+                raise RuntimeError(f"planted failure on the {where}")
+            # Leave blocks for the side that is to fail.
+            assert failed.wait(timeout=30)
+            _fill_signals(bits, thresholds, states, signals, start, stop)
+
+        monkeypatch.setattr("jurymarkets.accuracy._fill_signals", failing_fill)
+        before = threading.active_count()
+        q = CompetenceProfile((0.6,) * 101)
+        with pytest.raises(RuntimeError, match=f"planted failure on the {where}"):
+            monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10_000, 1)
+        assert threading.active_count() == before
 
 
 class TestVerifyOptimalWeights:

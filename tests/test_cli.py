@@ -224,13 +224,13 @@ class TestExitCodes:
         assert result.returncode == 1
 
     def test_solver_failure_is_exit_2(self, tmp_path):
-        # A belief this close to one wants to stake more than the solver's
-        # bracket allows at a tiny tax, which is an honest solver failure.
+        # A belief this close to zero wants to stake on B more than the
+        # largest double below 1 at a tiny tax, an honest solver failure.
         config = tmp_path / "extreme.json"
         config.write_text(
             json.dumps(
                 {
-                    "agents": [{"belief": 1.0 - 1e-13}, {"belief": 0.4}],
+                    "agents": [{"belief": 1e-20}, {"belief": 0.4}],
                     "market": "taxed_finite",
                     "k": 1e-4,
                 }
@@ -239,6 +239,30 @@ class TestExitCodes:
         result = run_cli("solve", "--config", str(config))
         assert result.returncode == 2
         assert b"solver error" in result.stderr
+
+    @pytest.mark.parametrize("trials", [(), ("--trials", "1000")])
+    def test_competence_near_one_prices_the_taxed_market(self, tmp_path, trials):
+        # The most competent agent stakes within 1e-9 of her whole endowment.
+        config = tmp_path / "near_one.json"
+        agents = [{"competence": q} for q in (1.0 - 2.0**-53, 0.6, 0.7)]
+        config.write_text(json.dumps({"agents": agents}))
+        result = run_cli(
+            "accuracy", "--config", str(config), "--market", "taxed_finite", "--k", "10", *trials
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        market = json.loads(result.stdout)["estimates"][-1]
+        assert market["aggregator"] == "market_taxed_finite_k=10"
+        assert market["method"] == ("monte_carlo" if trials else "exact")
+
+    def test_import_loads_no_executor(self):
+        # The Monte Carlo sampler starts plain threads; importing the CLI
+        # must not pull in concurrent.futures, which interpreter start-up pays.
+        probe = "import sys, jurymarkets.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, cwd=REPO, env=ENV
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.strip() == b"False"
 
     @pytest.mark.parametrize(
         "args",

@@ -420,8 +420,37 @@ class TestTaxedBestResponse:
             assert r.fraction * 100.0 == pytest.approx(log(b / (1 - b)), rel=2e-2)
 
     def test_bracketing_error_when_optimum_exceeds_grid(self):
+        # Mirrored, a belief of 1e-20 is 1 in floating point, so its B-stake
+        # optimum, about 1 - 2e-20, lies past the largest double below 1.
         with pytest.raises(BracketingError):
-            taxed_best_response(1.0 - 1e-13, 0.5, 1e-4)
+            taxed_best_response(1e-20, 0.5, 1e-4)
+
+    @pytest.mark.parametrize(
+        "q, k",
+        [
+            (1.0 - 1e-10, 1e-3),
+            (1.0 - 1e-10, 1.0),
+            (1.0 - 1e-14, 10.0),
+            (1.0 - 2.0**-53, 1e-6),
+            (1.0 - 2.0**-53, 1e-3),
+            (1.0 - 2.0**-53, 10.0),
+        ],
+    )
+    def test_competence_near_one_is_priced(self, q, k):
+        # Each of these optima lies within 1e-9 of staking everything.
+        beliefs = np.array([q, 0.6, 0.7])
+        stakes, _ = markets._taxed_stakes_signed(beliefs, 0.5, k)
+        assert stakes[0] > 1.0 - 1e-9
+        for b, s in zip(beliefs.tolist(), stakes.tolist()):
+            assert 0.0 < s < 1.0
+            assert taxed_best_response(b, 0.5, k).stake == s
+            # The first-order condition changes sign across the stake; the
+            # optimum lies below 1, so an upper end at or past 1 bounds it.
+            t = 1e-9 * s + 1e-12 * min(1.0, 1.0 / k)
+            assert taxed_foc_residual(s - t, b, 0.5, k) >= 0.0
+            assert s + t >= 1.0 or taxed_foc_residual(s + t, b, 0.5, k) <= 0.0
+        weights = markets.taxed_half_price_weights(beliefs, k)
+        assert np.isfinite(weights).all() and (weights > 0.0).all()
 
     @given(
         st.floats(min_value=0.05, max_value=0.95),
@@ -625,10 +654,11 @@ class TestTaxedSolverContract:
             s, bb, pp = (sa, b, p) if sa > 0.0 else (sb, 1.0 - b, 1.0 - p)
             if s == 0.0:
                 continue
-            # The first-order condition changes sign across the stake.
+            # The first-order condition changes sign across the stake.  The
+            # optimum lies below 1, so an upper end at or past 1 bounds it.
             t = 1e-9 * s + 1e-12 * min(1.0, 1.0 / k)
             assert taxed_foc_residual(max(s - t, 0.0), bb, pp, k) >= 0.0
-            assert taxed_foc_residual(s + t, bb, pp, k) <= 0.0
+            assert s + t >= 1.0 or taxed_foc_residual(s + t, bb, pp, k) <= 0.0
         return result
 
     @given(hostile_panels, st.floats(min_value=1e-9, max_value=1e7))

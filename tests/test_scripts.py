@@ -90,8 +90,8 @@ def test_unwritable_output_is_one_error_line(tmp_path):
 
 def test_failed_solve_is_one_solver_error_line(tmp_path):
     # Each input is valid, but the taxed first-order condition at k = 1e-4
-    # never changes sign for a belief this close to 1.
+    # does not change sign below 1 for a belief this close to 0.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"agents": [{"belief": 0.9999999999999}, {"belief": 0.4}]}))
+    path.write_text(json.dumps({"agents": [{"belief": 1e-20}, {"belief": 0.4}]}))
     result = run_script("tax_convergence.py", "--config", str(path), "--k-grid", "1e-4")
     assert_one_error_line(result, status=2, prefix=b"solver error: ")
