@@ -14,12 +14,12 @@ as the weighted majority of its stakes at price 1/2, and no price is
 solved.  Exact values decide the full signal space once (2^n profiles,
 capped at n = 12) and score both states from that one decision vector;
 larger juries are estimated by seeded Monte Carlo, which decides each
-sampled batch the same way, with counter-based substreams, so results are
-reproducible and independent of batching.  A batch's signals are drawn on
-one thread per CPU, each at its own counter offset in the batch's stream,
-so they do not depend on the number of CPUs either.  verify_optimal_weights
-confronts the log-odds weighting with rival weight vectors on exact
-accuracies.
+sampled batch the same way.  A batch's states and signals depend only on
+(seed, batch index) and the competences: they are read from the Philox
+stream keyed by that pair, whose words are a function of their position,
+so results are reproducible and the same however the batch's row blocks
+are spread over threads and CPUs.  verify_optimal_weights confronts the
+log-odds weighting with rival weight vectors on exact accuracies.
 """
 
 from __future__ import annotations
@@ -209,6 +209,15 @@ def _sampling_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _raw_thresholds(q: np.ndarray | float) -> np.ndarray:
+    """Raw Philox words below which a draw falls below q, for 0 < q < 1.
+
+    A Philox double is (raw >> 11) * 2**-53, so random() < q exactly when
+    raw >> 11 < ceil(q * 2**53), that is raw < ceil(q * 2**53) << 11.
+    """
+    return np.ceil(q * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def _fill_signals(
     bits: np.random.BitGenerator,
     thresholds: np.ndarray,
@@ -217,60 +226,42 @@ def _fill_signals(
     start: int,
     stop: int,
 ) -> None:
-    """Fill signal rows [start, stop) block by block from bits' raw words."""
-    step = _block_rows(thresholds.size)
-    for row in range(start, stop, step):
-        block = signals[row : min(row + step, stop)]
-        np.less(bits.random_raw(block.shape), thresholds, out=block)
-        # A signal favours A exactly when "it matches the state" equals "the state is A".
-        np.equal(block, states[row : row + len(block), None], out=block)
+    """Fill the signal rows [start, stop) of one block from bits' next raw words."""
+    block = signals[start:stop]
+    np.less(bits.random_raw(block.shape), thresholds, out=block)
+    # A signal favours A exactly when "it matches the state" equals "the state is A".
+    np.equal(block, states[start:stop, None], out=block)
 
 
 def _sample_signals(
-    rng: np.random.Generator, q_vec: np.ndarray, size: int
+    key: np.ndarray, q_vec: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (states, signals) for one batch.
+    """Sample (states, signals) for the batch whose Philox key is key.
 
     states is a boolean vector (True = state A); signals is a boolean matrix
-    (True = the agent's signal, and so her belief, favours A).  Signals are
-    drawn block by block from raw Philox words, bit for bit the matrix
-    ``(rng.random((size, n)) < q) == states[:, None]`` at the same stream
-    positions, without its float64 uniforms.
+    (True = the agent's signal, and so her belief, favours A).  Both are
+    drawn from raw words of Philox(key=key): the states from the first size
+    words, the signals row by row from the words after them, bit for bit
+    ``rng.random(size) < 0.5`` followed by ``(rng.random((size, n)) < q) ==
+    states[:, None]`` on a Generator of that Philox, without its float64
+    uniforms.
 
     Philox is counter-based: word w of a stream is a function of the key and
-    w alone.  So one thread per CPU (_sampling_workers, capped by the number
-    of blocks), the calling thread among them, claims blocks one at a time
-    and draws each from a Philox started at the block's first word; numpy
-    releases the GIL in the word generation and the comparisons.  Claiming
-    block by block, not in fixed runs, means a thread whose CPU stalls holds
-    back only its current block.  The threads are joined before return and
-    a block's exception is raised here.  The signals are the sequential
-    loop's, and rng is left where that loop leaves it.  With one CPU or a
-    batch of one block, that loop runs on rng itself.
+    w alone, so the batch depends only on key and q.  One thread per CPU
+    (_sampling_workers, capped by the number of blocks), the calling thread
+    among them, claims blocks of _block_rows rows one at a time; block 0
+    continues the states' Philox and every other block starts a Philox at
+    its own first word.  numpy releases the GIL in the word generation and
+    the comparisons.  Claiming block by block, not in fixed runs, means a
+    thread whose CPU stalls holds back only its current block.  The threads
+    are joined before return and a block's exception is raised here.
     """
-    states = rng.random(size) < 0.5
-    # A Philox double is (raw >> 11) * 2**-53, so random() < q exactly when
-    # raw >> 11 < ceil(q * 2**53), that is raw < this threshold (q < 1).
-    thresholds = np.ceil(q_vec * 2.0**53).astype(np.uint64) << np.uint64(11)
-    signals = np.empty((size, q_vec.size), dtype=bool)
-    step = _block_rows(q_vec.size)
-    blocks = -(-size // step)
-    workers = min(_sampling_workers(), blocks)
-    if workers == 1:
-        _fill_signals(rng.bit_generator, thresholds, states, signals, 0, size)
-        return states, signals
-
-    state = rng.bit_generator.state
-    key = state["state"]["key"]
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    # Philox computes words 4c .. 4c+3 when its counter steps from c to c+1.
-    position = 4 * counter + state["buffer_pos"] - 4  # the next word rng hands out
-
-    def philox_at(word: int) -> np.random.Philox:
-        bits = np.random.Philox(key=key, counter=word // 4)
-        bits.random_raw(word % 4)
-        return bits
-
+    n = q_vec.size
+    bits = np.random.Philox(key=key)
+    states = bits.random_raw(size) < _raw_thresholds(0.5)
+    thresholds = _raw_thresholds(q_vec)
+    signals = np.empty((size, n), dtype=bool)
+    step = _block_rows(n)
     starts = iter(range(0, size, step))
     claim = threading.Lock()
     errors: list[Exception] = []
@@ -282,11 +273,18 @@ def _sample_signals(
             if start is None or errors:
                 return
             try:
-                bits = philox_at(position + start * q_vec.size)
-                _fill_signals(bits, thresholds, states, signals, start, min(start + step, size))
+                block_bits = bits
+                if start:
+                    # Philox computes words 4c .. 4c+3 from counter c.
+                    word = size + start * n
+                    block_bits = np.random.Philox(key=key, counter=word // 4)
+                    block_bits.random_raw(word % 4)
+                stop = min(start + step, size)
+                _fill_signals(block_bits, thresholds, states, signals, start, stop)
             except Exception as exc:  # re-raised on the calling thread
                 errors.append(exc)
 
+    workers = min(_sampling_workers(), -(-size // step))
     threads = [threading.Thread(target=fill) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
@@ -297,9 +295,6 @@ def _sample_signals(
             thread.join()
     if errors:
         raise errors[0]
-    end = philox_at(position + size * q_vec.size).state
-    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-    rng.bit_generator.state = end
     return states, signals
 
 
@@ -311,13 +306,14 @@ def monte_carlo_accuracy(
     The state is drawn fair, signals per competence, and each batch of
     MONTE_CARLO_BATCH sampled profiles is decided in one decide call and
     scored as in exact_accuracy; markets are decided there by their
-    half-price weights, with no price solved.  Batches use counter-based
-    substreams keyed by (seed, batch index), so the estimate is
-    byte-identical however the batches are scheduled.  Within a batch,
-    signals are drawn and margins summed in row blocks of about 1 MiB, which
-    changes no draw and no decision; the blocks are drawn on one thread per
-    CPU (see _sample_signals), each holding one block of raw words at a
-    time, and every thread is joined before the batch is decided.
+    half-price weights, with no price solved.  Batch i is drawn from the
+    Philox key (seed, i), and its states and signals depend only on that
+    key and q, so the estimate is byte-identical however the batch's row
+    blocks are scheduled.  Within a batch, signals are drawn and margins
+    summed in row blocks of about 1 MiB, which changes no draw and no
+    decision; the blocks are drawn on one thread per CPU (see
+    _sample_signals), each holding one block of raw words at a time, and
+    every thread is joined before the batch is decided.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")
@@ -330,7 +326,8 @@ def monte_carlo_accuracy(
     done = 0
     for batch_index in range(-(-trials // MONTE_CARLO_BATCH)):
         size = min(MONTE_CARLO_BATCH, trials - done)
-        states, signals = _sample_signals(_batch_generator(seed, batch_index), q_vec, size)
+        key = np.array([seed, batch_index], dtype=np.uint64)
+        states, signals = _sample_signals(key, q_vec, size)
         decisions = agg.decide(q, signals)
         n_correct += int(np.count_nonzero(decisions == np.where(states, 1, -1)))
         n_tie += int(np.count_nonzero(decisions == 0))

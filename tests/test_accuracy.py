@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
@@ -30,6 +31,7 @@ from jurymarkets.accuracy import (
     _block_rows,
     _fill_signals,
     _majority_decisions,
+    _raw_thresholds,
     _sample_signals,
 )
 from jurymarkets.equivalence import PAIRINGS, WEIGHT_SCHEMES
@@ -309,21 +311,16 @@ class TestMonteCarlo:
             (wide, 4, 1000, 24),
         ):
             assert -(-size // _block_rows(q_vec.size)) == blocks
-            sampler = _batch_generator(seed, 7)
-            states, signals = _sample_signals(sampler, q_vec, size)
+            states, signals = _sample_signals(batch_key(seed), q_vec, size)
             rng = _batch_generator(seed, 7)
             expected_states = rng.random(size) < 0.5
             matches = rng.random((size, q_vec.size)) < q_vec
             assert np.array_equal(states, expected_states)
             assert signals.dtype == bool and signals.shape == (size, q_vec.size)
             assert np.array_equal(signals, np.where(expected_states[:, None], matches, ~matches))
-            # Both leave the stream at the same position.
-            assert np.array_equal(
-                sampler.bit_generator.random_raw(5), rng.bit_generator.random_raw(5)
-            )
 
     def test_raw_word_rule_is_the_float_rule_at_its_edges(self):
-        # Philox's random() is (raw >> 11) * 2**-53.  Feed _sample_signals
+        # Philox's random() is (raw >> 11) * 2**-53.  Feed _fill_signals
         # the raw words on both sides of every competence's threshold.  Below
         # 1/2, q * 2**53 need not be an integer, so 0.3 and 1e-3 check the ceil.
         q_vec = np.array([0.5 + 2.0**-53, 0.6, 0.75, BELOW_ONE, 0.3, 1e-3])
@@ -334,20 +331,16 @@ class TestMonteCarlo:
                 words += [t << 11, (t << 11) | 0x7FF]
         raw = np.tile(np.array(words, dtype=np.uint64)[:, None], (1, q_vec.size))
 
-        class RawWords:
-            """Draws state A for every row and hands out the planted raw words."""
-
-            bit_generator = property(lambda self: self)
-
-            def random(self, size):
-                return np.zeros(size)
+        class PlantedWords:
+            """Hands out the planted raw words."""
 
             def random_raw(self, shape):
                 assert shape == raw.shape
                 return raw
 
-        states, signals = _sample_signals(RawWords(), q_vec, len(words))
-        assert states.all()
+        states = np.ones(len(words), dtype=bool)  # state A: a signal favours A when it matches
+        signals = np.empty(raw.shape, dtype=bool)
+        _fill_signals(PlantedWords(), _raw_thresholds(q_vec), states, signals, 0, len(words))
         assert np.array_equal(signals, (raw >> np.uint64(11)) * 2.0**-53 < q_vec)
 
     def test_batch_boundary_handling(self):
@@ -367,14 +360,25 @@ class TestMonteCarlo:
             monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10, -1)
 
 
-def one_shot_signals(seed: int, lead: int, q_vec: np.ndarray, size: int):
-    """The batch drawn with no blocks and no threads: (states, signals, generator)."""
+def batch_key(seed: int) -> np.ndarray:
+    """The Philox key of batch 7 under seed, as monte_carlo_accuracy builds it."""
+    return np.array([seed, 7], dtype=np.uint64)
+
+
+def one_shot_signals(seed: int, q_vec: np.ndarray, size: int):
+    """Batch 7 drawn with no blocks and no threads: (states, signals)."""
     rng = _batch_generator(seed, 7)
-    rng.bit_generator.random_raw(lead)
     states = rng.random(size) < 0.5
-    raw = rng.bit_generator.random_raw((size, q_vec.size))
-    matches = raw < (np.ceil(q_vec * 2.0**53).astype(np.uint64) << np.uint64(11))
-    return states, matches == states[:, None], rng
+    matches = rng.bit_generator.random_raw((size, q_vec.size)) < _raw_thresholds(q_vec)
+    return states, matches == states[:, None]
+
+
+def word_position(bits: np.random.Philox) -> int:
+    """The stream position of the next word bits hands out."""
+    state = bits.state
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    # Philox computes words 4c .. 4c+3 when its counter steps from c to c+1.
+    return 4 * counter + state["buffer_pos"] - 4
 
 
 @pytest.fixture
@@ -398,10 +402,21 @@ class TestThreadedSampling:
         fills = []
 
         def recording_fill(bits, thresholds, states, signals, start, stop):
-            fills.append((start, stop, threading.get_ident()))
+            fills.append((start, stop, threading.get_ident(), bits, word_position(bits)))
             _fill_signals(bits, thresholds, states, signals, start, stop)
 
         monkeypatch.setattr("jurymarkets.accuracy._fill_signals", recording_fill)
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            bits = philox(*args, **kwargs)
+            built.append(bits)
+            return bits
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        residues = set()
+        seeds = itertools.cycle((0, 2**64 - 1))
         panels = np.random.default_rng(13)
         for n in (3, 101, 3001):
             q_vec = panels.uniform(0.5, 1.0, n)
@@ -410,29 +425,29 @@ class TestThreadedSampling:
             # 65,536 rows of 3,001 agents would hold 197 MB per matrix.
             sizes += [1000] if n == 3001 else [65_535, 65_536, 65_537]
             for size in sizes:
-                # Lead words before the batch shift every run's first word
-                # through all four offsets modulo 4.
-                for seed, lead in ((0, 0), (2**64 - 1, 1), (0, 2), (2**64 - 1, 3)):
-                    rng = _batch_generator(seed, 7)
-                    rng.bit_generator.random_raw(lead)
-                    fills.clear()
-                    states, signals = _sample_signals(rng, q_vec, size)
-                    want_states, want_signals, reference = one_shot_signals(seed, lead, q_vec, size)
-                    assert np.array_equal(states, want_states), (n, size, seed, lead)
-                    assert np.array_equal(signals, want_signals), (n, size, seed, lead)
-                    # One thread fills every row at once, or up to one
-                    # thread per worker fills each block once.
-                    threads = min(workers, -(-size // step))
-                    bounds = list(range(0, size, step)) + [size] if threads > 1 else [0, size]
-                    assert sorted(fill[:2] for fill in fills) == list(zip(bounds, bounds[1:]))
-                    assert len({fill[2] for fill in fills}) <= threads
-                    # The caller's stream ends where the one-shot draw ends.
-                    end, want = rng.bit_generator.state, reference.bit_generator.state
-                    assert np.array_equal(end["state"]["counter"], want["state"]["counter"])
-                    assert end["buffer_pos"] == want["buffer_pos"]
-                    assert np.array_equal(
-                        rng.bit_generator.random_raw(9), reference.bit_generator.random_raw(9)
-                    )
+                seed = next(seeds)
+                fills.clear()
+                built.clear()
+                states, signals = _sample_signals(batch_key(seed), q_vec, size)
+                blocks = -(-size // step)
+                # The states' Philox and one more per block after the first.
+                assert len(built) == blocks, (n, size)
+                want_states, want_signals = one_shot_signals(seed, q_vec, size)
+                assert np.array_equal(states, want_states), (n, size, seed)
+                assert np.array_equal(signals, want_signals), (n, size, seed)
+                # Up to one thread per worker fills each block exactly once.
+                bounds = list(range(0, size, step)) + [size]
+                assert sorted(fill[:2] for fill in fills) == list(zip(bounds, bounds[1:]))
+                assert len({fill[2] for fill in fills}) <= min(workers, blocks)
+                for start, _, _, bits, position in fills:
+                    # Each block starts at its own first word, after the states'.
+                    assert position == size + start * n, (n, size, start)
+                    if start:
+                        residues.add(position % 4)
+                    else:
+                        # Block 0 continues the Philox that drew the states.
+                        assert bits is built[0], (n, size)
+        assert residues == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
