@@ -44,9 +44,9 @@ DEFAULT_CONFIGS = (
 
 def _stakes(label: str, result) -> str:
     legs = ", ".join(
-        f"agent {i}: sA={sa:.6g} sB={sb:.6g}"
-        for i, (sa, sb) in enumerate(zip(result.profile.sA, result.profile.sB))
-        if sa or sb
+        f"agent {i}: sA={max(s, 0.0):.6g} sB={max(-s, 0.0):.6g}"
+        for i, s in enumerate(result.stakes)
+        if s
     )
     return f"  {label}: price={result.price!r}  [{legs or 'no trade'}]"
 

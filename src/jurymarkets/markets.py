@@ -18,8 +18,9 @@ B-securities sold:
   with an intensity parameter k that interpolates from plain Kelly (k -> 0)
   to vanishing stakes proportional to log-odds (k -> infinity).
 
-Stakes are signed throughout: +stake on A, -stake on B.  Every best
-response is a SideInvestment holding one.  Every solve, solve_market for any
+Stakes are signed throughout: one number per agent, +stake on A and -stake
+on B.  Every best response is a SideInvestment holding one, and
+clearing_price reads a vector of them.  Every solve, solve_market for any
 MarketKind included, returns an EquilibriumResult: signed stakes, the
 clearing price, and diagnostics (iterations, clearing residual, degeneracy,
 and for the taxed solver its Newton steps and final price-bracket width).
@@ -28,6 +29,7 @@ The tax intensity k must be a normal positive float.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, expm1, fsum, log, log1p
@@ -79,41 +81,6 @@ class BracketingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InvestmentProfile:
-    """Per-agent stakes on each security.  Nobody plays both sides.
-
-    Stakes are stored as tuples of Python floats, whatever sequence or array
-    they came in; the first bad entry is named.  Solvers report one signed
-    stake vector instead (EquilibriumResult.stakes), whose profile property
-    builds this view.
-    """
-
-    sA: tuple[float, ...]
-    sB: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sA", tuple(float(x) for x in self.sA))
-        object.__setattr__(self, "sB", tuple(float(x) for x in self.sB))
-        if not self.sA:
-            raise ValueError("investment profile must contain at least one agent")
-        if len(self.sA) != len(self.sB):
-            raise ValueError(
-                f"sA has {len(self.sA)} agents but sB has {len(self.sB)}"
-            )
-        for name, side in (("sA", self.sA), ("sB", self.sB)):
-            for i, x in enumerate(side):
-                if not 0.0 <= x <= 1.0:
-                    raise ValueError(f"{name}[{i}]={x!r} outside [0, 1]")
-        for i, (a, b) in enumerate(zip(self.sA, self.sB)):
-            if a != 0.0 and b != 0.0:
-                raise ValueError(f"agent {i} invests on both sides (sA={a!r}, sB={b!r})")
-
-    @property
-    def n(self) -> int:
-        return len(self.sA)
-
-
-@dataclass(frozen=True)
 class Diagnostics:
     """Solver bookkeeping attached to every equilibrium result.
 
@@ -141,21 +108,14 @@ _NO_DIAGNOSTICS = Diagnostics()  # of a closed-form price, shared by every such 
 @dataclass(frozen=True)
 class EquilibriumResult:
     """Signed stakes (Python floats in [-1, 1], +s on A and -s on B), price
-    and diagnostics, for every market kind.  ``profile`` splits the stakes
-    into a validated InvestmentProfile, and ``offset`` reads the decision."""
+    and diagnostics, for every market kind.  ``offset`` reads the decision;
+    clearing_price(stakes) reprices the stakes."""
 
     stakes: tuple[float, ...]
     price: float
     kind: MarketKind
     diagnostics: Diagnostics
     k: float | None = None
-
-    @property
-    def profile(self) -> InvestmentProfile:
-        return InvestmentProfile(
-            [x if x > 0.0 else 0.0 for x in self.stakes],
-            [-x if x < 0.0 else 0.0 for x in self.stakes],
-        )
 
     @property
     def offset(self) -> float:
@@ -174,7 +134,8 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class SideInvestment:
-    """A single agent's optimal stake, signed: +s on A, -s on B, 0 for none."""
+    """A single agent's optimal stake, signed: +s on A, -s on B, 0 for none.
+    ``side`` and ``fraction`` read its side and size."""
 
     stake: float
 
@@ -185,9 +146,6 @@ class SideInvestment:
     @property
     def fraction(self) -> float:
         return abs(self.stake)
-
-    def as_legs(self) -> tuple[float, float]:  # (stake on A, stake on B)
-        return (self.stake, 0.0) if self.stake > 0.0 else (0.0, self.fraction)
 
 
 def _check_price(p: float) -> None:
@@ -208,14 +166,22 @@ def _check_k(k: float | None) -> None:
         )
 
 
-def clearing_price(profile: InvestmentProfile) -> float:
+def _side_sums(stakes: Sequence[float]) -> tuple[float, float]:
+    """sum(sA) and sum(sB) of signed stakes, each by fsum; the first stake
+    outside [-1, 1], NaN included, is named."""
+    for i, x in enumerate(stakes):
+        if not -1.0 <= x <= 1.0:
+            raise ValueError(f"stake {i}={float(x)!r} outside [-1, 1]")
+    return fsum([x for x in stakes if x > 0.0]), fsum([-x for x in stakes if x < 0.0])
+
+
+def clearing_price(stakes: Sequence[float]) -> float:
     """The unique price equating security quantities on the two sides.
 
-    Balancing (1/p) * sum(sA) = (1/(1-p)) * sum(sB) gives
-    p = sum(sA) / (sum(sA) + sum(sB)).
+    For signed stakes, balancing (1/p) * sum(sA) = (1/(1-p)) * sum(sB) gives
+    p = sum(sA) / (sum(sA) + sum(sB)), undefined when a side has no stake.
     """
-    a = fsum(profile.sA)
-    b = fsum(profile.sB)
+    a, b = _side_sums(stakes)
     if a == 0.0 or b == 0.0:
         raise UndefinedPriceError(
             f"no stake on {'A' if a == 0.0 else 'B'}-side: clearing ratio undefined"
@@ -433,15 +399,11 @@ def _result(
 ) -> EquilibriumResult:
     """Package signed stakes (+stake on A, -stake on B) as a result.
 
-    Every stake must lie in [-1, 1]; the first that does not, NaN included,
-    is named.  The residual is the quantity imbalance (1/p) * sum(sA) -
-    (1/(1-p)) * sum(sB), reported as 0 when some side carries no stake.
+    The stakes are checked as in clearing_price.  The residual is the
+    quantity imbalance (1/p) * sum(sA) - (1/(1-p)) * sum(sB), reported as 0
+    when some side carries no stake.
     """
-    for i, x in enumerate(signed):
-        if not -1.0 <= x <= 1.0:
-            raise ValueError(f"stake {i}={x!r} outside [-1, 1]")
-    on_a = fsum([x for x in signed if x > 0.0])
-    on_b = fsum([-x for x in signed if x < 0.0])
+    on_a, on_b = _side_sums(signed)
     degenerate = on_a == 0.0 or on_b == 0.0
     return EquilibriumResult(
         stakes=tuple(signed),

@@ -102,7 +102,7 @@ def test_criterion_02_worked_example_two():
     assert b.b == (0.8, 0.4, 0.4, 0.4)
     simple, linear, log_odds = _elections(q, b)
     naive = naive_equilibrium(b)
-    partial = naive.profile.sA[1]
+    partial = naive.stakes[1]
     kelly_price = kelly_equilibrium(b).price
     asym_price = taxed_equilibrium_asymptotic(b)
     checks = {
@@ -191,7 +191,7 @@ def test_criterion_05_kelly_closed_form():
         worst_mean_gap = max(worst_mean_gap, abs(result.price - math.fsum(b.b) / n))
         worst_residual = max(
             worst_residual,
-            abs(clearing_price(result.profile) - result.price),
+            abs(clearing_price(result.stakes) - result.price),
             abs(result.diagnostics.residual),
         )
     ok = worst_mean_gap <= 1e-12 and worst_residual <= 1e-12

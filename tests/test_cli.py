@@ -17,8 +17,8 @@ from jurymarkets import (
     Decision,
     EquivalenceReport,
     EquivalenceScheme,
-    InvestmentProfile,
     clearing_price,
+    taxed_best_response_asymptotic,
 )
 from jurymarkets.cli import COMMANDS, ConfigError, _csv_text, _json_text, main, parse_config
 
@@ -188,23 +188,36 @@ class TestDeterminism:
         assert b"\r\n" not in result.stdout
 
 
+def stakes_of(record: dict) -> tuple[float, ...]:
+    """Signed stakes rebuilt from a solve record's per-agent sA and sB."""
+    return tuple(a["sA"] - a["sB"] for a in record["agents"])
+
+
 class TestRoundTrip:
     def test_solve_json_reproduces_clearing_price(self):
         record = json.loads((GOLDEN / "solve_example2_naive.json").read_text())
-        profile = InvestmentProfile(
-            tuple(a["sA"] for a in record["agents"]),
-            tuple(a["sB"] for a in record["agents"]),
-        )
-        assert clearing_price(profile) == record["price"] == 0.4
+        assert clearing_price(stakes_of(record)) == record["price"] == 0.4
 
     def test_kelly_solve_round_trip(self):
         result = run_cli("solve", "--config", str(EXAMPLE_1), "--market", "kelly")
         record = json.loads(result.stdout)
-        profile = InvestmentProfile(
-            tuple(a["sA"] for a in record["agents"]),
-            tuple(a["sB"] for a in record["agents"]),
-        )
-        assert clearing_price(profile) == pytest.approx(record["price"], abs=1e-12)
+        assert clearing_price(stakes_of(record)) == pytest.approx(record["price"], abs=1e-12)
+
+
+class TestSweepK:
+    @pytest.mark.parametrize("config", [EXAMPLE_1, EXAMPLE_2], ids=["example1", "example2"])
+    def test_asymptotic_column_is_the_asymptotic_best_response(self, config):
+        result = run_cli("sweep-k", "--config", str(config))
+        assert result.returncode == 0, result.stderr.decode()
+        rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
+        assert len(rows) > 0
+        for row in rows:
+            b, p, k = (float(row[name]) for name in ("belief", "asymptotic_price", "k"))
+            expected = taxed_best_response_asymptotic(b, p, k).stake
+            # The column subtracts the price's log-odds from the belief's; the
+            # best response takes one log of their odds ratio.  Both round.
+            gap = abs(float(row["asymptotic_strategy"]) - expected)
+            assert gap <= 4.0 * sys.float_info.epsilon * abs(expected), row
 
 
 class TestExitCodes:

@@ -22,7 +22,6 @@ from jurymarkets import (
     Decision,
     EquilibriumResult,
     GridSpec,
-    InvestmentProfile,
     MarketKind,
     SideInvestment,
     SignalProfile,
@@ -56,8 +55,15 @@ belief_lists = st.lists(
 ).map(tuple)
 
 
-def security_residual(profile: InvestmentProfile, price: float) -> float:
-    return fsum(profile.sA) / price - fsum(profile.sB) / (1.0 - price)
+def legs(stake: float) -> tuple[float, float]:
+    """(stake on A, stake on B) of one signed stake."""
+    return (stake, 0.0) if stake > 0.0 else (0.0, abs(stake))
+
+
+def security_residual(stakes: tuple[float, ...], price: float) -> float:
+    on_a = fsum(s for s in stakes if s > 0.0)
+    on_b = fsum(-s for s in stakes if s < 0.0)
+    return on_a / price - on_b / (1.0 - price)
 
 
 def lattice_panels(seed: int, per_n: int):
@@ -74,46 +80,6 @@ def lattice_panels(seed: int, per_n: int):
                 yield tuple(rng.choice(lattice) for _ in range(n))
 
 
-class TestInvestmentProfile:
-    def test_rejects_agent_on_both_sides(self):
-        with pytest.raises(ValueError, match="both sides"):
-            InvestmentProfile((0.5, 0.0), (0.1, 1.0))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            InvestmentProfile((1.5, 0.0), (0.0, 0.0))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            InvestmentProfile((1.0,), (0.0, 0.0))
-
-    @pytest.mark.parametrize("vector", [tuple, lambda xs: np.array(xs, dtype=float)],
-                             ids=["tuple", "array"])
-    def test_names_the_first_bad_index(self, vector):
-        cases = [
-            ((0.5, float("nan"), 2.0), (0.0, 0.0, 0.0), r"^sA\[1\]=nan outside \[0, 1\]$"),
-            ((0.5, 0.0, 0.0), (0.0, 0.0, -0.1), r"^sB\[2\]=-0.1 outside \[0, 1\]$"),
-            ((0.0, 0.3, 0.2), (0.0, 0.1, 0.4),
-             r"^agent 1 invests on both sides \(sA=0.3, sB=0.1\)$"),
-            ((), (), "^investment profile must contain at least one agent$"),
-            ((0.5,), (0.0, 0.0), "^sA has 1 agents but sB has 2$"),
-        ]
-        for sA, sB, message in cases:
-            with pytest.raises(ValueError, match=message):
-                InvestmentProfile(vector(sA), vector(sB))
-
-    def test_stakes_are_tuples_of_python_floats(self):
-        for sA, sB in [
-            ((1, 0), (0, True)),
-            (np.array([0.25, 0.0, -0.0]), np.array([0.0, 0.5, 0.0])),
-            (np.array([0.25, 0.0]), [0.0, np.float64(0.5)]),
-        ]:
-            profile = InvestmentProfile(sA, sB)
-            assert type(profile.sA) is tuple and type(profile.sB) is tuple
-            assert all(type(x) is float for x in profile.sA + profile.sB)
-            assert profile == InvestmentProfile(tuple(map(float, sA)), tuple(map(float, sB)))
-
-
 SOLVERS = {
     "naive": naive_equilibrium,
     "kelly": kelly_equilibrium,
@@ -124,7 +90,8 @@ SOLVERS = {
 
 
 class TestSignedStakes:
-    """Solvers report one signed stake vector; profile is its validated split."""
+    """Solvers report one signed stake vector; its split by sign into A- and
+    B-stakes, the investment profile, is what prices it."""
 
     @pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
     def test_profile_is_the_split_of_the_stakes(self, solve):
@@ -132,14 +99,15 @@ class TestSignedStakes:
         panels = [random_beliefs(rng, n).b for n in range(1, 13) for _ in range(4)]
         for panel in panels + list(lattice_panels(seed=29, per_n=3)):
             result = solve(BeliefProfile(panel))
-            stakes, profile = result.stakes, result.profile
+            stakes = result.stakes
             assert type(stakes) is tuple and len(stakes) == len(panel)
             assert all(type(s) is float for s in stakes)
-            assert type(profile) is InvestmentProfile
-            for s, sa, sb in zip(stakes, profile.sA, profile.sB):
-                assert sa - sb == s and (sa == 0.0 or sb == 0.0), (panel, s, sa, sb)
+            split = [legs(s) for s in stakes]
+            assert markets._side_sums(stakes) == (
+                fsum(sa for sa, _ in split), fsum(sb for _, sb in split)
+            ), panel
             expected = 0.0 if result.diagnostics.degenerate else security_residual(
-                profile, result.price
+                stakes, result.price
             )
             assert result.diagnostics.residual == expected
 
@@ -168,14 +136,15 @@ class TestSignedStakes:
         r = SideInvestment(stake)
         assert r.side == side
         assert r.fraction == abs(stake) and copysign(1.0, r.fraction) == 1.0
-        assert r.as_legs() == legs and all(copysign(1.0, x) == 1.0 for x in r.as_legs())
+        sums = markets._side_sums([stake])
+        assert sums == legs and all(copysign(1.0, x) == 1.0 for x in sums)
         rebuilt = {"A": r.fraction, "B": -r.fraction, None: 0.0}[r.side]
-        assert rebuilt == stake and SideInvestment(rebuilt).as_legs() == legs
+        assert rebuilt == stake and markets._side_sums([rebuilt]) == legs
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_side_investment_round_trips(self, stake):
         r = SideInvestment(stake)
-        sa, sb = r.as_legs()
+        sa, sb = markets._side_sums([stake])
         assert sa - sb == stake and (sa == 0.0 or sb == 0.0)
         assert r.fraction == sa + sb
         assert r.side == ("A" if sa > 0.0 else "B" if sb > 0.0 else None)
@@ -183,21 +152,63 @@ class TestSignedStakes:
     def test_result_accepts_full_stakes(self):
         result = markets._result([1.0, -1.0, -0.0, 0.0], 0.5, MarketKind.NAIVE)
         assert result.stakes == (1.0, -1.0, -0.0, 0.0)
-        assert result.profile == InvestmentProfile((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+        assert markets._side_sums(result.stakes) == (1.0, 1.0)
         assert result.diagnostics.residual == 0.0 and not result.diagnostics.degenerate
 
 
 class TestClearingPrice:
+    """clearing_price reads signed stakes and checks them as _result does."""
+
     def test_balanced_pair(self):
-        assert clearing_price(InvestmentProfile((1.0, 0.0), (0.0, 1.0))) == 0.5
+        assert clearing_price((1.0, -1.0)) == 0.5
 
     def test_worked_example_split(self):
-        profile = InvestmentProfile((1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0, 0.0))
-        assert clearing_price(profile) == 0.4
+        assert clearing_price((1.0, -1.0, -1.0, -1.0, 1.0)) == 0.4
 
     def test_one_sided_book_has_no_price(self):
-        with pytest.raises(UndefinedPriceError):
-            clearing_price(InvestmentProfile((1.0, 1.0), (0.0, 0.0)))
+        for stakes in [(1.0, 1.0), (-0.5, 0.0), (0.0, -0.0)]:
+            with pytest.raises(UndefinedPriceError):
+                clearing_price(stakes)
+
+    def test_rejects_out_of_range(self):
+        for stakes in [(1.5, -1.0), (0.5, -1.0000000000000002)]:
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+                clearing_price(stakes)
+
+    @pytest.mark.parametrize("vector", [tuple, lambda xs: np.array(xs, dtype=float)],
+                             ids=["tuple", "array"])
+    def test_names_the_first_bad_index(self, vector):
+        cases = [
+            ((0.5, float("nan"), 2.0), ValueError, r"^stake 1=nan outside \[-1, 1\]$"),
+            ((0.5, -0.25, -1.5), ValueError, r"^stake 2=-1.5 outside \[-1, 1\]$"),
+            ((float("-inf"), 0.5), ValueError, r"^stake 0=-inf outside \[-1, 1\]$"),
+            ((), UndefinedPriceError, "^no stake on A-side: clearing ratio undefined$"),
+        ]
+        for stakes, error, message in cases:
+            with pytest.raises(error, match=message):
+                clearing_price(vector(stakes))
+
+    def test_reads_any_float_sequence(self):
+        for stakes in [
+            (1, -1, 0),
+            [True, -0.5],
+            np.array([0.25, -0.5, 0.0, -0.0]),
+            [np.float64(0.25), -0.5],
+        ]:
+            price = clearing_price(stakes)
+            assert type(price) is float
+            assert price == clearing_price(tuple(map(float, stakes)))
+
+    @pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+    def test_reprices_solved_stakes(self, solve):
+        rng = random.Random(41)
+        for n in range(2, 13):
+            result = solve(random_beliefs(rng, n))
+            if result.diagnostics.degenerate:
+                with pytest.raises(UndefinedPriceError):
+                    clearing_price(result.stakes)
+            else:
+                assert abs(clearing_price(result.stakes) - result.price) <= 1e-9
 
 
 class TestNaive:
@@ -208,12 +219,12 @@ class TestNaive:
     def test_best_response_all_in_above_price(self):
         r = naive_best_response(0.9, 0.4)
         assert r == SideInvestment(1.0)
-        assert r.as_legs() == (1.0, 0.0)
+        assert r.stake == 1.0 and r.side == "A"
 
     def test_best_response_all_in_below_price(self):
         r = naive_best_response(0.3, 0.4)
         assert r == SideInvestment(-1.0)
-        assert r.as_legs() == (0.0, 1.0)
+        assert r.stake == -1.0 and r.side == "B"
 
     def test_indifferent_at_price(self):
         assert naive_best_response(0.4, 0.4) is None
@@ -232,7 +243,7 @@ class TestNaive:
         r = naive_best_response(b, p)
         if r is None:
             return
-        sa, sb = r.as_legs()
+        sa, sb = legs(r.stake)
         best = max(naive_utility(p, b, sa), naive_utility(1.0 - p, 1.0 - b, sb))
         assert best >= naive_utility(p, b, s) - 1e-12
         assert best >= naive_utility(1.0 - p, 1.0 - b, s) - 1e-12
@@ -242,39 +253,37 @@ class TestNaive:
         result = naive_equilibrium(beliefs)
         assert result.price == 0.4
         assert result.kind is MarketKind.NAIVE
-        assert result.profile.sA == (1.0, 0.0, 0.0, 0.0, 1.0)
-        assert result.profile.sB == (0.0, 1.0, 1.0, 1.0, 0.0)
+        assert result.stakes == (1.0, -1.0, -1.0, -1.0, 1.0)
         assert result.diagnostics.residual == 0.0
 
     def test_equilibrium_partial_marginal_agent(self, example2):
         _, _, beliefs = example2
         result = naive_equilibrium(beliefs)
         assert result.price == 0.4  # the marginal agent's belief, exactly
-        assert result.profile.sA[0] == 1.0
+        assert result.stakes[0] == 1.0
         # The marginal stake solves (1 + x)/0.4 = 2/0.6; with double inputs
         # the solution sits within one ulp of 1/3.
-        assert result.profile.sA[1] == pytest.approx(1.0 / 3.0, abs=2e-16)
-        assert result.profile.sB[2:] == (1.0, 1.0)
+        assert result.stakes[1] == pytest.approx(1.0 / 3.0, abs=2e-16)
+        assert result.stakes[2:] == (-1.0, -1.0)
         assert abs(result.diagnostics.residual) < 1e-12
 
     def test_equilibrium_pair_balances_on_b_side(self):
         result = naive_equilibrium(BeliefProfile((0.6, 0.6)))
         assert result.price == 0.6
-        assert result.profile.sA == (1.0, 0.0)
-        assert result.profile.sB[0] == 0.0
-        assert result.profile.sB[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert result.stakes[0] == 1.0
+        assert result.stakes[1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
 
     def test_single_agent_degenerate(self):
         result = naive_equilibrium(BeliefProfile((0.7,)))
         assert result.diagnostics.degenerate
         assert result.price == 0.7
-        assert result.profile.sA == (0.0,) and result.profile.sB == (0.0,)
+        assert result.stakes == (0.0,)
 
     def test_ranking_breaks_ties_by_index(self):
         result = naive_equilibrium(BeliefProfile((0.4, 0.8, 0.4, 0.4)))
         # Among the three equal beliefs the lowest index becomes marginal.
-        assert result.profile.sA[2] == 0.0
-        assert 0.0 < result.profile.sA[0] < 1.0
+        assert result.stakes[2] <= 0.0
+        assert 0.0 < result.stakes[0] < 1.0
 
     @given(belief_lists)
     @settings(max_examples=60, deadline=None)
@@ -282,12 +291,12 @@ class TestNaive:
         beliefs = BeliefProfile(b)
         result = naive_equilibrium(beliefs)
         p = result.price
-        for bi, sa, sb in zip(b, result.profile.sA, result.profile.sB):
+        for bi, (sa, sb) in zip(b, map(legs, result.stakes)):
             if bi > p:
                 assert sa == 1.0 and sb == 0.0
             elif bi < p:
                 assert sa == 0.0 and sb == 1.0
-        assert abs(security_residual(result.profile, p)) < 1e-9
+        assert abs(security_residual(result.stakes, p)) < 1e-9
 
     @given(belief_lists)
     @settings(max_examples=60, deadline=None)
@@ -303,14 +312,14 @@ class TestNaive:
         for b in lattice_panels(seed=5, per_n=12):
             result = naive_equilibrium(BeliefProfile(b))
             p, n = result.price, len(b)
-            for bi, sa, sb in zip(b, result.profile.sA, result.profile.sB):
+            for bi, (sa, sb) in zip(b, map(legs, result.stakes)):
                 if bi > p:
                     assert sa == 1.0 and sb == 0.0, b
                 elif bi < p:
                     assert sa == 0.0 and sb == 1.0, b
             assert sum(bi > p for bi in b) <= n * p + 1e-9, b
             assert n * p <= sum(bi >= p for bi in b) + 1e-9, b
-            assert abs(security_residual(result.profile, p)) < 1e-9, b
+            assert abs(security_residual(result.stakes, p)) < 1e-9, b
             intervals = grid_equilibrium_search(BeliefProfile(b), MarketKind.NAIVE)
             assert len(intervals) == 1 and intervals[0][0] <= p <= intervals[0][1], (
                 b, p, intervals,
@@ -337,7 +346,7 @@ class TestKelly:
     @given(interior, interior, st.floats(min_value=0.0, max_value=0.999))
     def test_best_response_dominates_grid(self, b, p, s):
         r = kelly_best_response(b, p)
-        sa, sb = r.as_legs()
+        sa, sb = legs(r.stake)
         best = max(kelly_utility(p, b, sa), kelly_utility(1.0 - p, 1.0 - b, sb))
         assert best >= kelly_utility(p, b, s) - 1e-9
         assert best >= kelly_utility(1.0 - p, 1.0 - b, s) - 1e-9
@@ -357,20 +366,20 @@ class TestKelly:
     def test_price_is_arithmetic_mean(self, b):
         result = kelly_equilibrium(BeliefProfile(b))
         assert result.price == pytest.approx(fsum(b) / len(b), abs=1e-15)
-        assert abs(security_residual(result.profile, result.price)) < 1e-12
+        assert abs(security_residual(result.stakes, result.price)) < 1e-12
 
     def test_stakes_are_best_responses_at_the_price(self):
         rng = random.Random(11)
         panels = [random_beliefs(rng, rng.randint(1, 9)).b for _ in range(50)]
         for b in panels + list(lattice_panels(seed=7, per_n=3)):
             result = kelly_equilibrium(BeliefProfile(b))
-            for bi, sa, sb in zip(b, result.profile.sA, result.profile.sB):
-                assert kelly_best_response(bi, result.price).as_legs() == (sa, sb), b
+            for bi, s in zip(b, result.stakes):
+                assert kelly_best_response(bi, result.price).stake == s, b
 
     def test_all_equal_beliefs_trade_nothing(self):
         result = kelly_equilibrium(BeliefProfile((0.7, 0.7)))
         assert result.diagnostics.degenerate
-        assert result.profile.sA == (0.0, 0.0)
+        assert result.stakes == (0.0, 0.0)
 
 
 class TestTaxFunction:
@@ -460,7 +469,7 @@ class TestTaxedBestResponse:
     @settings(max_examples=60, deadline=None)
     def test_dominates_stake_grid(self, b, p, k):
         r = taxed_best_response(b, p, k)
-        sa, sb = r.as_legs()
+        sa, sb = legs(r.stake)
         best = max(taxed_utility(p, b, sa, k), taxed_utility(1.0 - p, 1.0 - b, sb, k))
         for s in np.linspace(0.0, 0.999, 41):
             assert best >= taxed_utility(p, b, float(s), k) - 1e-9
@@ -521,7 +530,8 @@ class TestTaxedEquilibrium:
     def test_stakes_shrink_with_k(self, example1):
         _, _, beliefs = example1
         totals = [
-            fsum(taxed_equilibrium_finite(beliefs, k).profile.sA) for k in (1.0, 10.0, 100.0)
+            markets._side_sums(taxed_equilibrium_finite(beliefs, k).stakes)[0]
+            for k in (1.0, 10.0, 100.0)
         ]
         assert totals[0] > totals[1] > totals[2]
 
@@ -531,7 +541,7 @@ class TestTaxedEquilibrium:
         beliefs = BeliefProfile(b)
         result = taxed_equilibrium_finite(beliefs, 5.0)
         p = result.price
-        for bi, sa, sb in zip(b, result.profile.sA, result.profile.sB):
+        for bi, (sa, sb) in zip(b, map(legs, result.stakes)):
             if sa > 0.0:
                 assert abs(taxed_foc_residual(sa, bi, p, 5.0)) < 1e-6
             elif sb > 0.0:
@@ -650,7 +660,7 @@ class TestTaxedSolverContract:
         assert result.diagnostics.price_bracket_width <= (
             markets.PRICE_TOLERANCE + markets.ROUNDING_ULPS * p
         )
-        for b, sa, sb in zip(panel, result.profile.sA, result.profile.sB):
+        for b, (sa, sb) in zip(panel, map(legs, result.stakes)):
             s, bb, pp = (sa, b, p) if sa > 0.0 else (sb, 1.0 - b, 1.0 - p)
             if s == 0.0:
                 continue
@@ -771,10 +781,10 @@ class TestBestResponseMonotonicity:
         for _ in range(40):
             belief, k = rng.uniform(0.02, 0.98), 10.0 ** rng.uniform(-6.0, 7.0)
             naive = [naive_best_response(belief, p) for p in self.PRICES if p != belief]
-            self.assert_monotone([r.as_legs() for r in naive])
-            self.assert_monotone([kelly_best_response(belief, p).as_legs() for p in self.PRICES])
+            self.assert_monotone([legs(r.stake) for r in naive])
+            self.assert_monotone([legs(kelly_best_response(belief, p).stake) for p in self.PRICES])
             self.assert_monotone(
-                [taxed_best_response(belief, p, k).as_legs() for p in self.PRICES],
+                [legs(taxed_best_response(belief, p, k).stake) for p in self.PRICES],
                 rel=markets.RESPONSE_TOLERANCE,
             )
 
