@@ -1,9 +1,12 @@
-"""Solver fingerprint: every equilibrium solver's output bits on a fixed grid.
+"""Fingerprints of the solvers' output bits and of the CLI's output bytes.
 
-Each line holds the ``float.hex`` of a result's price, stakes and clearing
-residual plus its iteration counts, or the type of the exception the case
-raises, so a diff names the case that moved.  A change that moves solver bits
-on purpose regenerates the file and lists the moved lines in CHANGES.md:
+``solvers.txt`` holds, per case of a fixed grid, the ``float.hex`` of a
+result's price, stakes and clearing residual plus its iteration counts, or
+the type of the exception the case raises.  ``cli.txt`` holds the exit code
+and the SHA-256 of the bytes of one CLI call per line, on seeded panels at
+the sizes the benchmark runs (the goldens stop at five agents).  Either way
+a diff names the case that moved.  A change that moves them on purpose
+regenerates both files and lists the moved lines in CHANGES.md:
 
     PYTHONPATH=src python tests/test_fingerprints.py
 
@@ -14,18 +17,24 @@ host that does not match it skips the comparison.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import platform
 import random
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from jurymarkets import BeliefProfile, MarketKind, solve_market
+from jurymarkets.cli import main
 
 SOLVERS_FILE = Path(__file__).resolve().parent / "fingerprints" / "solvers.txt"
+CLI_FILE = SOLVERS_FILE.with_name("cli.txt")
 
 TAX_RATES = (1e-6, 0.1, 10.0, 1e3, 1e7, 1e300)
 # Beliefs at the ends of the open unit interval.
@@ -89,17 +98,95 @@ def fingerprint_lines() -> list[str]:
     return lines
 
 
-def test_solver_fingerprint():
-    recorded = SOLVERS_FILE.read_text().splitlines()
+def cli_cases(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each CLI case, with its seeded configs written to ``workdir``.
+
+    A 1,000-agent belief panel feeds ``solve``, ``sweep-k`` (whose largest k
+    overflows k p/(1-p) and fills the error column) and, by its first four
+    agents, ``verify``.  A 1,000-agent competence panel with signals feeds
+    ``solve``, ``vote`` and Monte Carlo ``accuracy``, and its first 12, 10 and
+    8 agents the exact and exhaustive cases.
+    """
+    rng = random.Random(2026)
+    beliefs = [rng.uniform(0.02, 0.98) for _ in range(1000)]
+    competences = [rng.uniform(0.51, 0.95) for _ in range(1000)]
+    signals = [rng.choice("AB") for _ in range(1000)]
+    configs = {
+        "beliefs1000": {"agents": [{"belief": b} for b in beliefs]},
+        "beliefs4": {"agents": [{"belief": b} for b in beliefs[:4]]},
+        "competences1000": {"agents": [{"competence": q} for q in competences],
+                            "signals": signals},
+    }
+    for n in (12, 10, 8):
+        configs[f"competences{n}"] = {"agents": [{"competence": q} for q in competences[:n]]}
+    for name, data in configs.items():
+        (workdir / f"{name}.json").write_text(json.dumps(data))
+
+    markets = [["--market", kind] for kind in ("naive", "kelly", "taxed_asymptotic")]
+    markets += [["--market", "taxed_finite", "--k", k] for k in ("0.1", "10", "1e7")]
+    cases = [
+        ("solve", config, [*market, "--format", fmt])
+        for config in ("beliefs1000", "competences1000")
+        for market in markets
+        for fmt in ("json", "csv")
+    ]
+    cases.append(("sweep-k", "beliefs1000", ["--k-list", "0.1,10,1e7,1.7976931348623157e308"]))
+    cases += [
+        ("vote", "competences1000", ["--weights", scheme, "--format", fmt])
+        for scheme in ("egalitarian", "linear", "log_odds")
+        for fmt in ("json", "csv")
+    ]
+    for fmt in ("json", "csv"):
+        cases += [
+            ("check-equivalence", "competences10", ["--exhaustive", "--format", fmt]),
+            ("check-equivalence", "competences8", ["--exhaustive", "--k", "10", "--format", fmt]),
+            ("accuracy", "competences12", ["--market", "naive", "--format", fmt]),
+            ("accuracy", "competences12", ["--market", "taxed_finite", "--k", "10",
+                                           "--format", fmt]),
+            ("accuracy", "competences1000", ["--weights", "linear", "--market", "kelly",
+                                             "--trials", "2000", "--seed", "7", "--format", fmt]),
+            ("verify", "beliefs4", ["--market", "naive", "--format", fmt]),
+        ]
+    return [
+        (" ".join([command, config, *flags]),
+         [command, "--config", str(workdir / f"{config}.json"), *flags])
+        for command, config, flags in cases
+    ]
+
+
+def cli_lines(workdir: Path) -> list[str]:
+    lines = [host_header()]
+    output = workdir / "out"
+    for label, argv in cli_cases(workdir):
+        output.unlink(missing_ok=True)
+        status = main([*argv, "--output", str(output)])
+        digest = hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else "-"
+        lines.append(f"{label}: exit={status} sha256={digest}")
+    return lines
+
+
+def compare(path: Path, current_lines: Callable[[], list[str]]) -> None:
+    """Compare a fingerprint file with fresh lines, or skip on another platform."""
+    recorded = path.read_text().splitlines()
     if recorded[0] != host_header():
         pytest.skip(f"fingerprint recorded on {recorded[0]!r}, host is {host_header()!r}")
-    current = fingerprint_lines()
+    current = current_lines()
     for number, (old, new) in enumerate(zip(recorded, current), start=1):
         assert new == old, f"line {number} moved:\n  recorded {old}\n  now      {new}"
     assert len(current) == len(recorded), (len(recorded), len(current))
 
 
+def test_solver_fingerprint():
+    compare(SOLVERS_FILE, fingerprint_lines)
+
+
+def test_cli_fingerprint(tmp_path):
+    compare(CLI_FILE, lambda: cli_lines(tmp_path))
+
+
 if __name__ == "__main__":
     SOLVERS_FILE.parent.mkdir(exist_ok=True)
     SOLVERS_FILE.write_text("\n".join(fingerprint_lines()) + "\n")
-    print(f"wrote {SOLVERS_FILE}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as workdir:
+        CLI_FILE.write_text("\n".join(cli_lines(Path(workdir))) + "\n")
+    print(f"wrote {SOLVERS_FILE} and {CLI_FILE}", file=sys.stderr)
