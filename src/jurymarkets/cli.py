@@ -16,9 +16,12 @@ or CSV — identical inputs produce byte-identical bytes — written to stdout
 or ``--output``.  ``COMMANDS`` is the one table of subcommands: every handler
 returns its status, JSON record and CSV table, and ``main`` alone picks the
 format and writes the bytes.  The JSON bytes are exactly those of
-``json.dumps(record, indent=2)`` and the CSV bytes those of ``csv.writer``
-with ``None`` empty and booleans as ``true``/``false``; both emitters run the
-standard library's C encoders, and the argument parser is built once per
+``json.dumps(record, indent=2)`` and the CSV bytes those of the ``csv``
+module's writer with ``None`` empty and booleans as ``true``/``false``.
+Per-row output is a ``Table`` of named columns: each column is formatted at
+C level, a float by one ``repr`` and any other value once per distinct
+value, and each row is one ``str.join`` of its cells; the rest of a JSON
+record goes through the C encoder.  The argument parser is built once per
 process.
 
 Exit codes: 0 success; 1 invalid config or arguments, a format the command
@@ -30,14 +33,15 @@ contradiction; 3 a guaranteed election/market equivalence was violated.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from math import log
+from operator import attrgetter
 from sys import float_info
 from typing import Callable, Iterable
 
@@ -118,6 +122,20 @@ def _parse_agents(
 ) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("agents must be a non-empty list of objects")
+    # A well-formed list passes these C-level checks; any other list takes the
+    # loop below, which names its first bad entry.
+    if set(map(type, raw)) == {dict} and set(map(len, raw)) == {1}:
+        fields = set(chain.from_iterable(raw))
+        if fields == {"competence"} or fields == {"belief"}:
+            values = list(chain.from_iterable(map(dict.values, raw)))
+            low = 0.5 if fields == {"competence"} else 0.0
+            if (
+                set(map(type, values)) == {float}  # so each comparison below is defined
+                and all(map(low.__lt__, values))  # False for NaN
+                and all(map((1.0).__gt__, values))
+            ):
+                values = tuple(values)
+                return (values, None) if low else (None, values)
     competences: list[float] = []
     beliefs: list[float] = []
     for i, entry in enumerate(raw):
@@ -313,6 +331,42 @@ def _require_market(cfg: ExperimentConfig, why: str) -> MarketKind:
 
 # ---------------------------------------------------------------------------
 # Serialization
+#
+# Per-row output is a Table of named columns.  One writer formats each column
+# at C level (floats and ints by their repr, other values once per distinct
+# value) and joins each row from the column texts, so no row is kept as a
+# tuple or a dict.  The JSON bytes are exactly those of
+# ``json.dumps(record, indent=2)`` and the CSV bytes those of the ``csv``
+# module's writer with ``None`` empty and booleans as ``true``/``false``.
+
+
+class Cells(list):
+    """A table column already written as text, which both formats print as is.
+
+    Only texts that JSON and CSV share belong here: ints, finite floats by
+    ``repr`` and booleans as ``true``/``false``.  A handler builds one where a
+    text serves several columns or blocks, so that it is formatted once.
+    """
+
+
+@dataclass(frozen=True)
+class Table:
+    """Per-row output as named columns, in blocks of rows.
+
+    Each block holds one entry per name: a list or tuple with one cell per
+    row of the block (``Cells`` among them), or a single value that every row
+    of the block repeats.  A block with no list or tuple is one row.
+    """
+
+    names: tuple[str, ...]
+    blocks: list[tuple]
+
+
+_COLUMN = (list, tuple)
+_NESTED = (dict, list, tuple, Table)
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# The csv module's QUOTE_MINIMAL with a "\n" line terminator quotes exactly these.
+_CSV_SPECIAL = re.compile('[,"\n]')
 
 
 @cache
@@ -321,112 +375,177 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-_CONTAINERS = (dict, list, tuple)
+def _json_cell(value: object) -> str:
+    return _encoder(0).encode(value)
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if _CSV_SPECIAL.search(value) else value
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # by type, because 1.0 == True
+        return "true" if value else "false"
+    return str(value)
+
+
+def _texts(column: list | tuple, cell: Callable[[object], str]) -> list[str]:
+    """The text of each cell of a column, as ``cell`` writes it."""
+    if type(column) is Cells:
+        return column
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, column))
+        if _NON_FINITE.isdisjoint(texts):  # JSON writes NaN and Infinity
+            return texts
+    elif kinds == {int}:
+        return list(map(int.__repr__, column))
+    elif float not in kinds and not {bool, int} <= kinds:
+        # Equal values of the other types print alike; 1 == True and
+        # 0.0 == -0.0 do not, hence the exclusions.
+        memo = {value: cell(value) for value in set(column)}
+        return list(map(memo.__getitem__, column))
+    return list(map(cell, column))
+
+
+def _lines(
+    table: Table, cell: Callable[[object], str], prefixes: list[str], closing: str = ""
+) -> list[str]:
+    """Each row of ``table`` as one string: each cell after its prefix, then ``closing``.
+
+    A row is one C-level join of the block's column texts, with the text of
+    each single value merged into the prefixes around it.
+    """
+    lines: list[str] = []
+    for block in table.blocks:
+        pieces, text = [], ""
+        for prefix, entry in zip(prefixes, block, strict=True):
+            text += prefix
+            if isinstance(entry, _COLUMN):
+                pieces += (text, _texts(entry, cell))
+                text = ""
+            else:
+                text += cell(entry)
+        pieces.append(text + closing)
+        rows = len(pieces[1]) if len(pieces) > 1 else 1
+        pieces = [repeat(p, rows) if isinstance(p, str) else p for p in pieces]
+        lines += map("".join, zip(*pieces, strict=True))
+    return lines
+
+
+def _json_table(table: Table, depth: int) -> str:
+    """``json.dumps`` of the table's rows as a list of objects ``depth`` levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    keys = [f"{inner}  {encode_basestring_ascii(name)}: " for name in table.names]
+    objects = _lines(table, _json_cell, ["{" + keys[0]] + ["," + k for k in keys[1:]],
+                     inner + "}")
+    if not objects:
+        return "[]"
+    objects[0] = "[" + inner + objects[0]
+    objects[-1] += "\n" + "  " * depth + "]"
+    return ("," + inner).join(objects)
+
+
+def _csv_text(table: Table) -> str:
+    """The csv module's bytes for the header and the rows, one "\\n" after each."""
+    lines = _lines(table, _csv_cell, [""] + [","] * (len(table.names) - 1))
+    lines.insert(0, ",".join(map(_csv_cell, table.names)))
+    if len(table.names) == 1:  # the csv module quotes a row's one empty field
+        lines = [line or '""' for line in lines]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _only_scalars(items: Iterable) -> bool:
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+    return not any(issubclass(t, _NESTED) for t in set(map(type, items)))
 
 
 def _json_text(value: object, depth: int = 0) -> str:
     r"""``json.dumps(value, indent=2)``, for a value nested ``depth`` levels deep.
 
-    CPython encodes in C only without ``indent``, so the indented layout is
-    built from separators instead.  A container of scalars is one encoder
-    call with ",\n<indent>" between items.  A list of flat objects is one
-    call a level deeper, whose object boundaries "},\n<indent>{" one
-    str.replace re-indents.  Both are exact: the encoder escapes every
-    newline inside a string, so each raw newline is a separator, and inside
-    a flat object a separator is always followed by a key's quote.  Other
-    containers recurse.
+    A Table is written as its list of row objects.  CPython encodes in C only
+    without ``indent``, so the indented layout is built from separators
+    instead: a container of scalars is one encoder call with ",\n<indent>"
+    between items, exact because the encoder escapes every newline inside a
+    string.  Other containers recurse.
     """
+    if isinstance(value, Table):
+        return _json_table(value, depth)
     encoder = _encoder(depth)
-    if not isinstance(value, _CONTAINERS) or not value:
+    if not isinstance(value, _NESTED) or not value:
         return encoder.encode(value)
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
     if _only_scalars(value.values() if isinstance(value, dict) else value):
         text = encoder.encode(value)
-    elif isinstance(value, dict):
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+    if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):  # keep json's key coercions
             return json.dumps(value, indent=2).replace("\n", outer)
-        text = "{" + ("," + inner).join(
-            encoder.encode(key) + ": " + _json_text(v, depth + 1) for key, v in value.items()
-        ) + "}"
-    elif (
-        all(map(isinstance, value, repeat(dict))) and all(value)
-        and _only_scalars(chain.from_iterable(map(dict.values, value)))
-    ):
-        deeper = inner + "  "
-        text = _encoder(depth + 1).encode(value).replace(
-            "}," + deeper + "{", inner + "}," + inner + "{" + deeper
-        )
-        text = f"[{{{deeper}{text[2:-2]}{inner}}}]"
+        pieces = ["{"]
+        for key, v in value.items():
+            pieces += (inner, encoder.encode(key), ": ", _json_text(v, depth + 1), ",")
+        pieces[-1] = outer + "}"
     else:
-        text = "[" + ("," + inner).join(_json_text(v, depth + 1) for v in value) + "]"
-    return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+        pieces = ["["]
+        for v in value:
+            pieces += (inner, _json_text(v, depth + 1), ",")
+        pieces[-1] = outer + "]"
+    return "".join(pieces)
 
 
-def _csv_text(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    # csv.writer already writes None as empty, floats by repr and ints by
-    # str; only bools need mapping, and by type, because 1.0 == True.
-    writer.writerows(
-        row if bool not in map(type, row)
-        else [("true" if c else "false") if type(c) is bool else c for c in row]
-        for row in rows
-    )
-    return buffer.getvalue()
+def _fields(records: list, *names: str) -> tuple[list, ...]:
+    """One column per (dotted) attribute name, read from every record at C level."""
+    return tuple(list(map(attrgetter(name), records)) for name in names)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 #
 # Every handler takes the validated config and the parsed arguments and
-# returns (status, JSON record, CSV header, CSV rows).  The rows are
-# consumed only when CSV is emitted, so a handler may return them lazily.
+# returns (status, JSON record, CSV table); a record may hold tables, which
+# are written as lists of objects.
 
-Output = tuple[int, dict | None, tuple[str, ...], Iterable[tuple]]
+Output = tuple[int, dict | None, Table]
 
 
 def cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     kind = _require_market(cfg, "solve")
     result = solve_market(beliefs, kind, cfg.k)
-    price, d = result.price, result.diagnostics
-    residual, iterations, degenerate = d.residual, d.iterations, d.degenerate
+    d = result.diagnostics
     decision = str(decision_from_offset(result.offset))
 
-    agents = [
-        {"agent": i, "belief": b, "side": "A" if s > 0.0 else "B" if s < 0.0 else None,
-         "fraction": abs(s), "sA": s if s > 0.0 else 0.0, "sB": -s if s < 0.0 else 0.0}
-        for i, (b, s) in enumerate(zip(beliefs.b, result.stakes))
-    ]
+    # Stakes lie in [-1, 1], so repr is their text in both formats, and a
+    # stake's one text is its fraction and its sA or sB.
+    stakes = result.stakes
+    fraction = Cells(map(repr, map(abs, stakes)))
+    side = ["A" if s > 0.0 else "B" if s < 0.0 else None for s in stakes]
+    s_a = Cells([f if s > 0.0 else "0.0" for f, s in zip(fraction, stakes)])
+    s_b = Cells([f if s < 0.0 else "0.0" for f, s in zip(fraction, stakes)])
+    agents = (list(range(beliefs.n)), beliefs.b, side, fraction)
     record = {
         "command": "solve",
         "market": kind.value,
         "k": result.k,
-        "price": price,
+        "price": result.price,
         "decision": decision,
-        "clearing_residual": residual,
-        "iterations": iterations,
-        "degenerate": degenerate,
-        "agents": agents,
+        "clearing_residual": d.residual,
+        "iterations": d.iterations,
+        "degenerate": d.degenerate,
+        "agents": Table(
+            ("agent", "belief", "side", "fraction", "sA", "sB"), [(*agents, s_a, s_b)]
+        ),
     }
-    header = (
-        "agent", "belief", "side", "fraction", "market", "k", "price",
-        "decision", "clearing_residual", "iterations", "degenerate",
-    )
-    rows = (  # lazy: one row per agent, and n may be large
+    table = Table(
         (
-            a["agent"], a["belief"], a["side"], a["fraction"], kind.value, result.k,
-            price, decision, residual, iterations, degenerate,
-        )
-        for a in agents
+            "agent", "belief", "side", "fraction", "market", "k", "price",
+            "decision", "clearing_residual", "iterations", "degenerate",
+        ),
+        [(*agents, kind.value, result.k, result.price, decision, d.residual,
+          d.iterations, d.degenerate)],
     )
-    return EXIT_OK, record, header, rows
+    return EXIT_OK, record, table
 
 
 def cmd_vote(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
@@ -447,12 +566,11 @@ def cmd_vote(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
         "weighted_margin": margin,
         "decision": decision,
     }
-    header = ("agent", "belief", "vote", "weight", "scheme", "weighted_margin", "decision")
-    rows = [
-        (i, b, v, w, scheme, margin, decision)
-        for i, (b, v, w) in enumerate(zip(beliefs.b, votes.v, weights.w))
-    ]
-    return EXIT_OK, record, header, rows
+    table = Table(
+        ("agent", "belief", "vote", "weight", "scheme", "weighted_margin", "decision"),
+        [(list(range(beliefs.n)), beliefs.b, votes.v, weights.w, scheme, margin, decision)],
+    )
+    return EXIT_OK, record, table
 
 
 def cmd_check_equivalence(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
@@ -462,28 +580,28 @@ def cmd_check_equivalence(cfg: ExperimentConfig, args: argparse.Namespace) -> Ou
     else:
         signal_sets = [_require_signals(cfg, "check-equivalence without --exhaustive")]
 
-    header = (
-        "scheme", "signals", "election", "market", "agree", "guaranteed",
+    reports, signals = [], []
+    for y in signal_sets:
+        batch = check_all_schemes(q, y, cfg.k)
+        reports += batch
+        signals += repeat("".join(y.y), len(batch))
+    scheme, election, market, agree, guaranteed, price, margin, k = _fields(
+        reports, "scheme.value", "election.value", "market.value", "agree", "guaranteed",
         "price", "weighted_margin", "k",
     )
-    rows = []
-    violations = 0
-    for signals in signal_sets:
-        for r in check_all_schemes(q, signals, cfg.k):
-            rows.append(
-                (r.scheme.value, "".join(signals.y), str(r.election), str(r.market),
-                 r.agree, r.guaranteed, r.price, r.weighted_margin, r.k)
-            )
-            if r.guaranteed and not r.agree:
-                violations += 1
-
+    violations = sum(g and not a for g, a in zip(guaranteed, agree))
+    table = Table(
+        ("scheme", "signals", "election", "market", "agree", "guaranteed",
+         "price", "weighted_margin", "k"),
+        [(scheme, signals, election, market, agree, guaranteed, price, margin, k)],
+    )
     record = {
         "command": "check_equivalence",
         "exhaustive": args.exhaustive,
         "violations": violations,
-        "reports": [dict(zip(header, row)) for row in rows],
+        "reports": table,
     }
-    return EXIT_EQUIVALENCE if violations else EXIT_OK, record, header, rows
+    return EXIT_EQUIVALENCE if violations else EXIT_OK, record, table
 
 
 def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
@@ -504,13 +622,9 @@ def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
                 f"({EXACT_MAX_AGENTS}); pass trials for Monte Carlo"
             )
 
-    header = ("aggregator", "method", "value", "tie_mass", "trials", "std_error", "seed")
-    rows = [
-        (e.aggregator, e.method, e.value, e.tie_mass, e.trials, e.std_error, e.seed)
-        for e in estimates
-    ]
-    record = {"command": "accuracy", "estimates": [dict(zip(header, row)) for row in rows]}
-    return EXIT_OK, record, header, rows
+    names = ("aggregator", "method", "value", "tie_mass", "trials", "std_error", "seed")
+    table = Table(names, [_fields(estimates, *names)])
+    return EXIT_OK, {"command": "accuracy", "estimates": table}, table
 
 
 def _parse_k_list(text: str | None) -> tuple[float, ...]:
@@ -532,31 +646,23 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     log_odds = [log(b / (1.0 - b)) for b in beliefs.b]
     price_log_odds = log(asymptotic_price / (1.0 - asymptotic_price))
 
-    # csv.writer would repr each float again on every row; values that repeat
-    # across rows are formatted here once instead.
-    agents = list(enumerate(map(repr, beliefs.b)))
-    asymptotic_price_text = repr(asymptotic_price)
-
-    rows = []
-    errors = False
+    # One block of rows per k; the agent and belief texts serve every block.
+    agent = Cells(map(str, range(beliefs.n)))
+    belief = Cells(map(repr, beliefs.b))
+    blocks = []
     for k in k_list:
         asymptotic = [(lo - price_log_odds) / k for lo in log_odds]
         try:
             result = taxed_equilibrium_finite(beliefs, k)
         except (BracketingError, UndefinedPriceError) as exc:
-            errors = True
-            signed, price, error = [None] * beliefs.n, None, str(exc)
+            stakes, price, error = None, None, str(exc)
         else:
-            signed, price, error = result.stakes, repr(result.price), None
-        k_text = repr(k)
-        rows += [
-            (k_text, i, b, s, a, price, asymptotic_price_text, error)
-            for (i, b), s, a in zip(agents, signed, asymptotic)
-        ]
+            stakes, price, error = result.stakes, result.price, None
+        blocks.append((k, agent, belief, stakes, asymptotic, price, asymptotic_price, error))
 
-    if errors:
-        return EXIT_OK, None, SWEEP_COLUMNS + ("error",), rows
-    return EXIT_OK, None, SWEEP_COLUMNS, [row[:-1] for row in rows]
+    if any(block[-1] is not None for block in blocks):
+        return EXIT_OK, None, Table(SWEEP_COLUMNS + ("error",), blocks)
+    return EXIT_OK, None, Table(SWEEP_COLUMNS, [block[:-1] for block in blocks])
 
 
 def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
@@ -596,17 +702,17 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
         )
 
     all_ok = all(c["ok"] for c in checks)
-    header = (
-        "market", "k", "price", "interval_low", "interval_high",
-        "contained", "unique", "ok",
+    blocks = []  # one row per oracle interval; a check with none still gets a row
+    for c in checks:
+        low, high = zip(*c["intervals"]) if c["intervals"] else (None, None)
+        blocks.append((c["market"], c["k"], c["price"], low, high,
+                       c["contained"], c["unique"], c["ok"]))
+    table = Table(
+        ("market", "k", "price", "interval_low", "interval_high", "contained", "unique", "ok"),
+        blocks,
     )
-    rows = [  # one row per oracle interval; a check with none still gets a row
-        (c["market"], c["k"], c["price"], lo, hi, c["contained"], c["unique"], c["ok"])
-        for c in checks
-        for lo, hi in c["intervals"] or [(None, None)]
-    ]
     record = {"command": "verify", "ok": all_ok, "checks": checks}
-    return EXIT_OK if all_ok else EXIT_SOLVER, record, header, rows
+    return EXIT_OK if all_ok else EXIT_SOLVER, record, table
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +809,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.command} emits {' and '.join(f.upper() for f in command.formats)} "
                 f"only; {fix}"
             )
-        status, record, header, rows = handler(cfg, args)
-        if cfg.format == "json":
-            text = _json_text(record) + "\n"
-        else:
-            text = _csv_text(header, rows)
+        status, record, table = handler(cfg, args)
+        text = _json_text(record) + "\n" if cfg.format == "json" else _csv_text(table)
     except (UndefinedPriceError, BracketingError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,13 +15,25 @@ from pathlib import Path
 import pytest
 
 from jurymarkets import (
+    BracketingError,
     Decision,
     EquivalenceReport,
     EquivalenceScheme,
     clearing_price,
     taxed_best_response_asymptotic,
+    taxed_equilibrium_asymptotic,
+    taxed_equilibrium_finite,
 )
-from jurymarkets.cli import COMMANDS, ConfigError, _csv_text, _json_text, main, parse_config
+from jurymarkets.cli import (
+    COMMANDS,
+    Cells,
+    ConfigError,
+    Table,
+    _csv_text,
+    _json_text,
+    main,
+    parse_config,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -218,6 +231,38 @@ class TestSweepK:
             # best response takes one log of their odds ratio.  Both round.
             gap = abs(float(row["asymptotic_strategy"]) - expected)
             assert gap <= 4.0 * sys.float_info.epsilon * abs(expected), row
+
+
+    def test_overflowing_k_fills_the_error_column(self, example1):
+        # At k = 1.7e308, k p/(1-p) overflows: that block's rows keep their
+        # asymptotic columns and explain the missing strategy and price.
+        result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", "1,1.7e308")
+        assert result.returncode == 0, result.stderr.decode()
+        _, _, beliefs = example1
+        p = taxed_equilibrium_asymptotic(beliefs)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(
+            ("k", "agent", "belief", "strategy", "asymptotic_strategy", "price",
+             "asymptotic_price", "error")
+        )
+        for k in (1.0, 1.7e308):
+            try:
+                solved = taxed_equilibrium_finite(beliefs, k)
+            except BracketingError as exc:
+                stakes, price, error = [None] * beliefs.n, None, str(exc)
+            else:
+                stakes, price, error = solved.stakes, solved.price, None
+            for i, (b, s) in enumerate(zip(beliefs.b, stakes)):
+                asymptotic = (math.log(b / (1.0 - b)) - math.log(p / (1.0 - p))) / k
+                writer.writerow((k, i, b, s, asymptotic, price, p, error))
+        assert result.stdout.decode() == buffer.getvalue()
+        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        assert [row["error"] for row in rows[:5]] == [""] * 5
+        for row in rows[5:]:
+            assert row["strategy"] == row["price"] == ""
+            assert row["error"].startswith("taxed stakes undefined, k p/(1-p) overflows at p=")
+        assert buffer.getvalue().count('"taxed stakes undefined') == 5  # quoted: it has a comma
 
 
 class TestExitCodes:
@@ -516,6 +561,75 @@ class TestConfigValidation:
             parse_config(data)
         assert fragment in str(excinfo.value)
 
+    OBJECT = "must be an object with exactly one of 'competence' or 'belief'"
+    MIX = "agents mix 'competence' and 'belief' entries; use one kind throughout"
+
+    @pytest.mark.parametrize(
+        "kind, entry, message",
+        [
+            ("competence", {"competence": True},
+             "agents[{i}].competence=True must lie strictly between 0.5 and 1"),
+            ("belief", {"belief": False},
+             "agents[{i}].belief=False must lie strictly between 0 and 1"),
+            ("competence", {"competence": "0.7"},
+             "agents[{i}].competence='0.7' must lie strictly between 0.5 and 1"),
+            ("belief", {"belief": float("nan")},
+             "agents[{i}].belief=nan must lie strictly between 0 and 1"),
+            ("competence", {"competence": float("inf")},
+             "agents[{i}].competence=inf must lie strictly between 0.5 and 1"),
+            ("belief", {"belief": float("-inf")},
+             "agents[{i}].belief=-inf must lie strictly between 0 and 1"),
+            ("competence", {"competence": 10**400},
+             f"agents[{{i}}].competence={10**400} must lie strictly between 0.5 and 1"),
+            ("belief", {"belief": 1}, "agents[{i}].belief=1 must lie strictly between 0 and 1"),
+            ("belief", {"belief": 1.0},
+             "agents[{i}].belief=1.0 must lie strictly between 0 and 1"),
+            ("competence", {"competence": 0.5},
+             "agents[{i}].competence=0.5 must lie strictly between 0.5 and 1"),
+            ("belief", {"belief": None},
+             "agents[{i}].belief=None must lie strictly between 0 and 1"),
+            ("competence", 0.7, "agents[{i}] " + OBJECT),
+            ("belief", [{"belief": 0.3}], "agents[{i}] " + OBJECT),
+            ("belief", {}, "agents[{i}] " + OBJECT),
+            ("competence", {"competence": 0.7, "belief": 0.3}, "agents[{i}] " + OBJECT),
+            ("competence", {"iq": 120},
+             "agents[{i}] has unknown field 'iq'; expected 'competence' or 'belief'"),
+            ("competence", {"belief": 0.3}, MIX),
+            ("belief", {"competence": 0.7}, MIX),
+        ],
+        ids=lambda value: repr(value)[:30],
+    )
+    @pytest.mark.parametrize("index", [0, 9999])
+    def test_bad_agent_at_any_index_names_it(self, kind, entry, message, index):
+        rng = random.Random(index)
+        agents = [{kind: rng.uniform(0.6, 0.9)} for _ in range(10_000)]
+        agents[index] = entry
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"agents": agents})
+        assert str(excinfo.value) == message.format(i=index)
+
+    def test_non_finite_agent_from_a_file_names_it(self, tmp_path):
+        # json.load accepts NaN and Infinity, and reads 1e400 as inf.
+        config = tmp_path / "nan.json"
+        entries = ['{"belief": 0.25}'] * 10_000
+        for index, literal in ((9997, "1e400"), (9998, "NaN"), (9999, "Infinity")):
+            entries[index] = f'{{"belief": {literal}}}'
+        config.write_text('{"agents": [' + ", ".join(entries) + "]}")
+        result = run_cli("vote", "--config", str(config))
+        assert result.returncode == 1
+        assert result.stderr == b"error: agents[9997].belief=inf must lie strictly between 0 and 1\n"
+
+    @pytest.mark.parametrize("kind, low", [("competence", 0.5), ("belief", 0.0)])
+    def test_valid_agents_parse_to_their_floats(self, kind, low):
+        rng = random.Random(7)
+        values = [rng.uniform(low, 1.0) for _ in range(10_000)]
+        values[:2] = [low + 2**-53, 1.0 - 2**-53]  # the ends of the open interval
+        cfg = parse_config({"agents": [{kind: v} for v in values]})
+        parsed = cfg.competences if kind == "competence" else cfg.beliefs
+        assert parsed == tuple(values)
+        assert set(map(type, parsed)) == {float}
+        assert (cfg.beliefs if kind == "competence" else cfg.competences) is None
+
     def test_belief_agents_with_signals_rejected(self):
         data = {"agents": [{"belief": 0.6}], "signals": ["A"]}
         with pytest.raises(ConfigError, match="belief agents"):
@@ -677,13 +791,69 @@ class TestEmitters:
             for _ in range(rng.randrange(1, 4))
         ]
 
+    # Table cells: strings csv.writer must quote, None, booleans beside the
+    # numbers equal to them, signed zeros and non-finite floats.
+    CELLS = STRINGS + (",", '"', "\r", "\n", 'a,"b"\r\n', "%s", None, True, False,
+                       1, 0, 1.0, 0.0, -0.0, float("nan"), float("inf"), float("-inf"))
+    NAMES = STRINGS + ("sA", "%s", "50%")
+
+    def table_column(self, rng: random.Random, rows: int) -> list:
+        """A column of one kind (each kind has its own fast path) or of mixed cells."""
+        kind = rng.randrange(6)
+        if kind == 0:
+            return [rng.choice((rng.uniform(-1e6, 1e6), *self.FLOATS)) for _ in range(rows)]
+        if kind == 1:
+            return [rng.choice((0, -7, 2**70, rng.randrange(100))) for _ in range(rows)]
+        if kind == 2:
+            return [rng.choice((True, False)) for _ in range(rows)]
+        if kind == 3:
+            return [rng.choice(self.STRINGS + ("A", "B", None)) for _ in range(rows)]
+        return [rng.choice(self.CELLS) for _ in range(rows)]
+
+    def table(self, rng: random.Random) -> tuple[Table, list[dict]]:
+        """A random table and, as the reference reads it, its rows as objects."""
+        names = tuple(rng.sample(self.NAMES, rng.randrange(1, 4)))
+        blocks, rows = [], []
+        for _ in range(rng.randrange(1, 4)):
+            size = rng.randrange(4)
+            entries, columns = [], []
+            for _ in names:
+                entry = rng.choice(self.CELLS)  # a single value every row repeats
+                if rng.random() < 0.6:
+                    entry = self.table_column(rng, size)
+                    numbers = all(type(c) in (int, bool) or (type(c) is float and math.isfinite(c))
+                                  for c in entry)
+                    if numbers and rng.random() < 0.5:  # texts both formats print as is
+                        columns.append(entry)
+                        entry = Cells(json.dumps(c) for c in entry)
+                    else:
+                        columns.append(entry)
+                        entry = tuple(entry) if rng.random() < 0.5 else entry
+                else:
+                    columns.append(None)
+                entries.append(entry)
+            # A block with no list or tuple is one row.
+            count = size if any(c is not None for c in columns) else 1
+            rows += [
+                {name: e if c is None else c[i] for name, e, c in zip(names, entries, columns)}
+                for i in range(count)
+            ]
+            blocks.append(tuple(entries))
+        return Table(names, blocks), rows
+
     def test_json_matches_indented_dumps(self):
         rng = random.Random(20261018)
+        tables = random.Random(20261018)
         for _ in range(3000):
             value = self.value(rng)
             assert _json_text(value) == json.dumps(value, indent=2), repr(value)
+            table, rows = self.table(tables)
+            for wrap in (lambda x: x, lambda x: {"n": 1, "rows": x}, lambda x: [[x], 2]):
+                assert _json_text(wrap(table)) == json.dumps(wrap(rows), indent=2), repr(table)
 
     def test_csv_matches_cell_by_cell_writer(self):
+        # Tables have one cell per name and row, so the ragged rows csv.writer
+        # also accepts are not drawn.
         def cell(value: object) -> str:
             if value is None:
                 return ""
@@ -695,18 +865,18 @@ class TestEmitters:
 
         rng = random.Random(20261018)
         for _ in range(500):
-            header = tuple(rng.choice(self.STRINGS) for _ in range(rng.randrange(1, 4)))
-            rows = [
-                tuple(self.scalar(rng) for _ in range(rng.randrange(1, 6)))
-                for _ in range(rng.randrange(4))
-            ]
-            rows.append((1.0, 1, 0.0, 0))  # equal to True/False, but not bools
+            table, rows = self.table(rng)
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow(table.names)
             for row in rows:
-                writer.writerow([cell(c) for c in row])
-            assert _csv_text(header, rows) == buffer.getvalue(), repr(rows)
+                writer.writerow([cell(c) for c in row.values()])
+            assert _csv_text(table) == buffer.getvalue(), repr(table)
+
+    def test_one_empty_cell_is_quoted(self):
+        # csv.writer writes a row whose one field is empty as "".
+        table = Table(("",), [([None, "", "x"],), ("",)])
+        assert _csv_text(table) == '""\n""\n""\nx\n""\n'
 
     @pytest.mark.parametrize("sequence", [
         [["check-equivalence", "--config", str(EXAMPLE_1), "--exhaustive"],
