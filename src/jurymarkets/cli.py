@@ -38,7 +38,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import log
 from operator import attrgetter
@@ -125,10 +125,10 @@ def _parse_agents(
     # A well-formed list passes these C-level checks; any other list takes the
     # loop below, which names its first bad entry.
     if set(map(type, raw)) == {dict} and set(map(len, raw)) == {1}:
-        fields = set(chain.from_iterable(raw))
-        if fields == {"competence"} or fields == {"belief"}:
-            values = list(chain.from_iterable(map(dict.values, raw)))
-            low = 0.5 if fields == {"competence"} else 0.0
+        (field,) = raw[0]
+        low = {"competence": 0.5, "belief": 0.0}.get(field)
+        if low is not None:
+            values = list(map(dict.get, raw, repeat(field)))  # None under another field
             if (
                 set(map(type, values)) == {float}  # so each comparison below is defined
                 and all(map(low.__lt__, values))  # False for NaN
@@ -332,12 +332,8 @@ def _require_market(cfg: ExperimentConfig, why: str) -> MarketKind:
 # ---------------------------------------------------------------------------
 # Serialization
 #
-# Per-row output is a Table of named columns.  One writer formats each column
-# at C level (floats and ints by their repr, other values once per distinct
-# value) and joins each row from the column texts, so no row is kept as a
-# tuple or a dict.  The JSON bytes are exactly those of
-# ``json.dumps(record, indent=2)`` and the CSV bytes those of the ``csv``
-# module's writer with ``None`` empty and booleans as ``true``/``false``.
+# Per-row output is a Table of named columns, so no row is kept as a tuple
+# or a dict; the module docstring gives the bytes each format must match.
 
 
 class Cells(list):

@@ -617,7 +617,9 @@ class TestConfigValidation:
         config.write_text('{"agents": [' + ", ".join(entries) + "]}")
         result = run_cli("vote", "--config", str(config))
         assert result.returncode == 1
-        assert result.stderr == b"error: agents[9997].belief=inf must lie strictly between 0 and 1\n"
+        assert result.stderr == (
+            b"error: agents[9997].belief=inf must lie strictly between 0 and 1\n"
+        )
 
     @pytest.mark.parametrize("kind, low", [("competence", 0.5), ("belief", 0.0)])
     def test_valid_agents_parse_to_their_floats(self, kind, low):
@@ -791,11 +793,12 @@ class TestEmitters:
             for _ in range(rng.randrange(1, 4))
         ]
 
-    # Table cells: strings csv.writer must quote, None, booleans beside the
+    # Table cells: strings with the characters csv.writer quotes (and "\r",
+    # which it does not with a "\n" line terminator), None, booleans beside the
     # numbers equal to them, signed zeros and non-finite floats.
-    CELLS = STRINGS + (",", '"', "\r", "\n", 'a,"b"\r\n', "%s", None, True, False,
+    CELLS = STRINGS + (",", '"', "\r", "\n", 'a,"b"\r\n', None, True, False,
                        1, 0, 1.0, 0.0, -0.0, float("nan"), float("inf"), float("-inf"))
-    NAMES = STRINGS + ("sA", "%s", "50%")
+    NAMES = STRINGS + ("sA", "agent")
 
     def table_column(self, rng: random.Random, rows: int) -> list:
         """A column of one kind (each kind has its own fast path) or of mixed cells."""
