@@ -105,7 +105,9 @@ def cli_cases(workdir: Path) -> list[tuple[str, list[str]]]:
     overflows k p/(1-p) and fills the error column) and, by its first four
     agents, ``verify``.  A 1,000-agent competence panel with signals feeds
     ``solve``, ``vote`` and Monte Carlo ``accuracy``, and its first 12, 10 and
-    8 agents the exact and exhaustive cases.
+    8 agents the exact and exhaustive cases.  A 12-agent panel of three
+    competences feeds one more exhaustive case, many of whose margins are
+    exact ties.
     """
     rng = random.Random(2026)
     beliefs = [rng.uniform(0.02, 0.98) for _ in range(1000)]
@@ -119,6 +121,10 @@ def cli_cases(workdir: Path) -> list[tuple[str, list[str]]]:
     }
     for n in (12, 10, 8):
         configs[f"competences{n}"] = {"agents": [{"competence": q} for q in competences[:n]]}
+    # Dyadic competences: the linear weights 1/4, 1/2 and 3/4 are exact, so
+    # their ties are exact too, and equal signals give equal beliefs, which
+    # the naive market ranks by agent index.
+    configs["ties12"] = {"agents": [{"competence": q} for q in (0.625, 0.75, 0.875) * 4]}
     for name, data in configs.items():
         (workdir / f"{name}.json").write_text(json.dumps(data))
 
@@ -147,6 +153,13 @@ def cli_cases(workdir: Path) -> list[tuple[str, list[str]]]:
                                              "--trials", "2000", "--seed", "7", "--format", fmt]),
             ("verify", "beliefs4", ["--market", "naive", "--format", fmt]),
         ]
+    # The size the benchmark's exhaustive check runs, appended so that no
+    # earlier line moves.
+    cases += [
+        ("check-equivalence", "competences12", ["--exhaustive", "--format", fmt])
+        for fmt in ("json", "csv")
+    ]
+    cases.append(("check-equivalence", "ties12", ["--exhaustive", "--format", "csv"]))
     return [
         (" ".join([command, config, *flags]),
          [command, "--config", str(workdir / f"{config}.json"), *flags])
