@@ -13,18 +13,29 @@ so a disagreement is diagnosable.  The first two pairings and the
 asymptotic third are exact equivalences; at finite tax intensity the third
 is only a convergence statement, so those reports carry guaranteed=False
 and a disagreement is data, not an error.
+
+The checks of one input share its inputs: the beliefs and votes of the last
+(competences, signals) pair and each scheme's weights for the last few
+panels are memoised, so check_all_schemes builds a profile's beliefs once and
+an exhaustive sweep builds a panel's weights once per scheme.  Markets are
+still solved on every call, so each check stays an independent cross-check
+of the election.  check_all_schemes still goes through the three public
+checkers once per profile, so a wrapper installed on any of them sees every
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 from .markets import MarketKind, solve_market
-from .model import CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
+from .model import BeliefProfile, CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
 from .voting import (  # TIE_TOLERANCE and decision_from_offset are re-exported
     TIE_TOLERANCE,
+    VotingProfile,
     WeightProfile,
     decision_from_offset,
     votes_from_beliefs,
@@ -72,6 +83,27 @@ class EquivalenceReport:
     k: float | None = None
 
 
+@lru_cache(maxsize=1)
+def _profile_inputs(
+    q: CompetenceProfile, y: SignalProfile
+) -> tuple[BeliefProfile, VotingProfile]:
+    """The beliefs and votes of one signal profile, kept for the next check of it."""
+    beliefs = beliefs_from_signals(q, y)
+    return beliefs, votes_from_beliefs(beliefs)
+
+
+@lru_cache(maxsize=len(WEIGHT_SCHEMES))
+def _panel_weights(
+    scheme_fn: Callable[[CompetenceProfile], WeightProfile], q: CompetenceProfile
+) -> WeightProfile:
+    """One scheme's weights for a panel.
+
+    Keyed on the scheme's function, not its name, so that a function put
+    into WEIGHT_SCHEMES in place of another is called rather than bypassed.
+    """
+    return scheme_fn(q)
+
+
 def check_scheme(
     scheme: EquivalenceScheme,
     q: CompetenceProfile,
@@ -87,13 +119,17 @@ def check_scheme(
     that pairing solves the finite-k taxed market instead; agreement then
     only tends to hold as k grows, so guaranteed is False.  The other
     pairings ignore k.
+
+    The beliefs and votes come from a one-entry memo shared by the three
+    pairings, and the weights from a memo keyed on the scheme's function
+    in WEIGHT_SCHEMES and q; the market is solved afresh every time.
     """
     weights, kind = PAIRINGS[scheme]
     finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None
     if finite:
         kind = MarketKind.TAXED_FINITE
-    beliefs = beliefs_from_signals(q, y)
-    margin = weighted_margin(votes_from_beliefs(beliefs), WEIGHT_SCHEMES[weights](q))
+    beliefs, votes = _profile_inputs(q, y)
+    margin = weighted_margin(votes, _panel_weights(WEIGHT_SCHEMES[weights], q))
     result = solve_market(beliefs, kind, k)
     election = decision_from_offset(margin)
     market = decision_from_offset(result.offset)

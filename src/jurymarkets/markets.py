@@ -438,7 +438,8 @@ def naive_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     belief with the degenerate flag set.
     """
     n = b.n
-    order = sorted(range(n), key=lambda i: (-b.b[i], i))
+    # A reverse sort is stable, so tied beliefs keep agent order.
+    order = sorted(range(n), key=b.b.__getitem__, reverse=True)
     ranked = [b.b[i] for i in order]
     m = 0
     while ranked[m] >= (m + 1) / n:

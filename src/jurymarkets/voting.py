@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from math import fsum
 
 import numpy as np
@@ -68,7 +69,7 @@ def weighted_margin(votes: VotingProfile, weights: WeightProfile) -> float:
     """
     if votes.n != weights.n:
         raise ValueError(f"{votes.n} votes but {weights.n} weights")
-    support = fsum(w for w, v in zip(weights.w, votes.v) if v == 1)
+    support = fsum(compress(weights.w, votes.v))
     return support - 0.5 * fsum(weights.w)
 
 

@@ -454,6 +454,24 @@ class TestCheckEquivalenceCommand:
         assert all(r["agree"] for r in record["reports"])
 
 
+    def test_in_process_runs_match_separate_runs(self, tmp_path):
+        # One process checks panel A, then B, then A again, so whatever the
+        # checks keep from one call must not leak into the next.
+        expected = {}
+        for name, qs in (("a", (0.9, 0.7, 0.6, 0.6, 0.6)), ("b", (0.8, 0.6, 0.6, 0.6, 0.75))):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"agents": [{"competence": q} for q in qs]}))
+            result = run_cli("check-equivalence", "--config", str(config), "--exhaustive")
+            assert result.returncode == 0, result.stderr.decode()
+            expected[name] = (config, result.stdout)
+        output = tmp_path / "out.json"
+        for name in ("a", "b", "a"):
+            config, stdout = expected[name]
+            argv = ["check-equivalence", "--config", str(config), "--exhaustive"]
+            assert main([*argv, "--output", str(output)]) == 0
+            assert output.read_bytes() == stdout, name
+
+
 class TestSweepCommand:
     def test_rejects_json_format(self):
         result = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--format", "json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from jurymarkets import (
     ALL_SCHEMES,
+    STATE_A,
     TIE_TOLERANCE,
     CompetenceProfile,
     Decision,
@@ -22,7 +24,10 @@ from jurymarkets import (
     check_scheme,
     check_simple_naive,
     decision_from_offset,
+    enumerate_signal_space,
 )
+from jurymarkets import equivalence
+from jurymarkets.equivalence import WEIGHT_SCHEMES
 from tests.conftest import random_competences, random_signals
 
 competence_lists = st.lists(
@@ -186,3 +191,61 @@ class TestDispatch:
         assert check_scheme(EquivalenceScheme.SIMPLE_NAIVE, q, y) == check_simple_naive(q, y)
         assert check_scheme(EquivalenceScheme.LINEAR_KELLY, q, y) == check_linear_kelly(q, y)
         assert check_scheme(EquivalenceScheme.LOG_ODDS_TAXED, q, y) == check_log_odds_taxed(q, y)
+
+
+def fresh_reports(q, y, k=None):
+    """check_all_schemes with both of the module's memos emptied first."""
+    equivalence._profile_inputs.cache_clear()
+    equivalence._panel_weights.cache_clear()
+    return check_all_schemes(q, y, k)
+
+
+class TestSharedInputs:
+    """The checks of one input share its beliefs, votes and weights."""
+
+    def test_interleaved_panels_and_profiles(self):
+        rng = random.Random(19)
+        q1, q2 = random_competences(rng, 5), random_competences(rng, 5)
+        y1, y2 = SignalProfile(tuple("AABBA")), SignalProfile(tuple("BABBB"))
+        order = [(q1, y1), (q2, y1), (q1, y2), (q2, y2)] * 2
+        for k in (None, 10.0):
+            expected = [fresh_reports(q, y, k) for q, y in order]
+            assert [check_all_schemes(q, y, k) for q, y in order] == expected
+
+    def test_weights_come_from_the_live_scheme_table(self, monkeypatch, example1):
+        q, y, _ = example1
+        expected = check_linear_kelly(q, y)
+        original = WEIGHT_SCHEMES["linear"]
+        calls = []
+
+        def counting(panel):
+            calls.append(panel)
+            return original(panel)
+
+        monkeypatch.setitem(WEIGHT_SCHEMES, "linear", counting)
+        assert check_linear_kelly(q, y) == expected
+        assert calls == [q]
+
+    def test_one_build_per_profile_and_per_scheme(self, monkeypatch):
+        builds = Counter()
+
+        def counted(name, fn):
+            def build(*args):
+                builds[name] += 1
+                return fn(*args)
+
+            return build
+
+        for name in ("beliefs_from_signals", "votes_from_beliefs"):
+            monkeypatch.setattr(equivalence, name, counted(name, getattr(equivalence, name)))
+        for name, fn in list(WEIGHT_SCHEMES.items()):
+            monkeypatch.setitem(WEIGHT_SCHEMES, name, counted(name, fn))
+        equivalence._profile_inputs.cache_clear()
+        q = CompetenceProfile((0.9, 0.7, 0.6, 0.55))
+        profiles = [y for y, _ in enumerate_signal_space(q, STATE_A)]
+        reports = [r for y in profiles for r in check_all_schemes(q, y)]
+        assert len(reports) == 3 * 2**4 and all(r.agree for r in reports)
+        assert builds == {
+            "beliefs_from_signals": 2**4, "votes_from_beliefs": 2**4,
+            "egalitarian": 1, "linear": 1, "log_odds": 1,
+        }
