@@ -253,8 +253,9 @@ def _sample_signals(
     continues the states' Philox and every other block moves the claiming
     thread's own Philox to its first word by assigning its counter, which
     costs about a sixth of building a Philox.  numpy releases the GIL in the
-    word generation and the comparisons.  Claiming block by block, not in fixed runs, means a
-    thread whose CPU stalls holds back only its current block.  The threads
+    word generation and the comparisons.  Claiming block by block, not in
+    fixed runs, means a thread whose CPU stalls holds back only its current
+    block.  The threads
     are joined before return and a block's exception is raised here.
     """
     n = q_vec.size

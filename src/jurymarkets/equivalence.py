@@ -14,14 +14,14 @@ asymptotic third are exact equivalences; at finite tax intensity the third
 is only a convergence statement, so those reports carry guaranteed=False
 and a disagreement is data, not an error.
 
-The checks of one input share its inputs: the beliefs and votes of the last
-(competences, signals) pair and each scheme's weights for the last few
-panels are memoised, so check_all_schemes builds a profile's beliefs once and
-an exhaustive sweep builds a panel's weights once per scheme.  Markets are
-still solved on every call, so each check stays an independent cross-check
-of the election.  check_all_schemes still goes through the three public
-checkers once per profile, so a wrapper installed on any of them sees every
-check.
+The checks share their inputs: the beliefs and votes of the last
+(competences, signals) pair and the last panel's weights under each scheme
+are memoised, so check_all_schemes builds a profile's beliefs once and an
+exhaustive sweep builds each scheme's weights once.  Every market is still
+solved on every call, so each check still sets a solved price against the
+election.  check_all_schemes still calls the three public checkers once per
+profile, so a wrapper installed on any of them (a tracer, a test's counter)
+sees every check.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def check_scheme(
     only tends to hold as k grows, so guaranteed is False.  The other
     pairings ignore k.
 
-    The beliefs and votes come from a one-entry memo shared by the three
-    pairings, and the weights from a memo keyed on the scheme's function
-    in WEIGHT_SCHEMES and q; the market is solved afresh every time.
+    The beliefs and votes come from a one-entry memo that the three
+    pairings of a profile share, and the weights from a memo keyed on q and
+    the scheme's current function in WEIGHT_SCHEMES; the market is solved
+    afresh every time.
     """
     weights, kind = PAIRINGS[scheme]
     finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None

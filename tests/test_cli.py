@@ -453,7 +453,6 @@ class TestCheckEquivalenceCommand:
         assert record["violations"] == 0
         assert all(r["agree"] for r in record["reports"])
 
-
     def test_in_process_runs_match_separate_runs(self, tmp_path):
         # One process checks panel A, then B, then A again, so whatever the
         # checks keep from one call must not leak into the next.
