@@ -17,11 +17,12 @@ and a disagreement is data, not an error.
 The checks share their inputs: the beliefs and votes of the last
 (competences, signals) pair and the last panel's weights under each scheme
 are memoised, so check_all_schemes builds a profile's beliefs once and an
-exhaustive sweep builds each scheme's weights once.  Every market is still
-solved on every call, so each check still sets a solved price against the
-election.  check_all_schemes still calls the three public checkers once per
-profile, so a wrapper installed on any of them (a tracer, a test's counter)
-sees every check.
+exhaustive sweep builds each scheme's weights once.  Every check prices its
+market afresh from that profile's beliefs and sets that price against the
+election; stakes are built only by solve_market (and inside the finite
+taxed market's price search, which needs them).  check_all_schemes still
+calls the three public checkers once per profile, so a wrapper installed on
+any of them (a tracer, a test's counter) sees every check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
-from .markets import MarketKind, solve_market
+from .markets import MarketKind, market_price, price_offset
 from .model import BeliefProfile, CompetenceProfile, Decision, SignalProfile, beliefs_from_signals
 from .voting import (  # TIE_TOLERANCE and decision_from_offset are re-exported
     TIE_TOLERANCE,
@@ -113,17 +114,18 @@ def check_scheme(
     """One commuting-diagram check: a weighted majority vs its paired market.
 
     Both sides run on the same beliefs and are read with the same tie band:
-    the election on its weighted margin, the market on the solved result's
-    offset, which is in the same units.  The log-odds pairing's market is
-    the heavy-damping closed form, so agreement is exact.  With a finite k
-    that pairing solves the finite-k taxed market instead; agreement then
-    only tends to hold as k grows, so guaranteed is False.  The other
-    pairings ignore k.
+    the election on its weighted margin, the market on its clearing price's
+    offset (price_offset), which is in the same units.  The log-odds
+    pairing's market is the heavy-damping closed form, so agreement is
+    exact.  With a finite k that pairing prices the finite-k taxed market
+    instead; agreement then only tends to hold as k grows, so guaranteed is
+    False.  The other pairings ignore k.
 
     The beliefs and votes come from a one-entry memo that the three
     pairings of a profile share, and the weights from a memo keyed on q and
-    the scheme's current function in WEIGHT_SCHEMES; the market is solved
-    afresh every time.
+    the scheme's current function in WEIGHT_SCHEMES.  Every check prices
+    its market afresh (market_price, the price solve_market reports); stakes
+    are built only by solve_market.
     """
     weights, kind = PAIRINGS[scheme]
     finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None
@@ -131,15 +133,15 @@ def check_scheme(
         kind = MarketKind.TAXED_FINITE
     beliefs, votes = _profile_inputs(q, y)
     margin = weighted_margin(votes, _panel_weights(WEIGHT_SCHEMES[weights], q))
-    result = solve_market(beliefs, kind, k)
+    price = market_price(beliefs, kind, k)
     election = decision_from_offset(margin)
-    market = decision_from_offset(result.offset)
+    market = decision_from_offset(price_offset(kind, price, beliefs.n))
     return EquivalenceReport(
         scheme=scheme,
         election=election,
         market=market,
         agree=election is market,
-        price=result.price,
+        price=price,
         weighted_margin=margin,
         guaranteed=not finite,
         k=k if finite else None,

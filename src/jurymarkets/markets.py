@@ -24,7 +24,10 @@ clearing_price reads a vector of them.  Every solve, solve_market for any
 MarketKind included, returns an EquilibriumResult: signed stakes, the
 clearing price, and diagnostics (iterations, clearing residual, degeneracy,
 and for the taxed solver its Newton steps and final price-bracket width).
-The tax intensity k must be a normal positive float.
+market_price returns the same price alone, building stakes only for the
+finite taxed market, whose price search needs them, and price_offset reads
+the decision offset of a price.  The tax intensity k must be a normal
+positive float.
 """
 
 from __future__ import annotations
@@ -119,17 +122,21 @@ class EquilibriumResult:
 
     @property
     def offset(self) -> float:
-        """The decision offset, read with the shared tie band in the paired
-        election's margin units: n (p - 1/2) for the Kelly (the linear-weight
-        margin, p being the mean belief) and finite taxed markets, (n/2)
-        logit(p) for the asymptotic one (the log-odds margin), and the exact
-        sign of p - 1/2 for the naive price, a belief or a split i/n."""
-        p, n = self.price, len(self.stakes)
-        if self.kind is MarketKind.NAIVE:
-            return float((p > 0.5) - (p < 0.5))
-        if self.kind is MarketKind.TAXED_ASYMPTOTIC:
-            return 0.5 * n * log(p / (1.0 - p))
-        return n * (p - 0.5)
+        """The decision offset of the price; see price_offset."""
+        return price_offset(self.kind, self.price, len(self.stakes))
+
+
+def price_offset(kind: MarketKind, price: float, n: int) -> float:
+    """The decision offset of an n-agent market's price, read with the shared
+    tie band in the paired election's margin units: n (p - 1/2) for the Kelly
+    (the linear-weight margin, p being the mean belief) and finite taxed
+    markets, (n/2) logit(p) for the asymptotic one (the log-odds margin), and
+    the exact sign of p - 1/2 for the naive price, a belief or a split i/n."""
+    if kind is MarketKind.NAIVE:
+        return float((price > 0.5) - (price < 0.5))
+    if kind is MarketKind.TAXED_ASYMPTOTIC:
+        return 0.5 * n * log(price / (1.0 - price))
+    return n * (price - 0.5)
 
 
 @dataclass(frozen=True)
@@ -420,22 +427,15 @@ def _result(
     )
 
 
-def naive_equilibrium(b: BeliefProfile) -> EquilibriumResult:
-    """Competitive equilibrium of the all-or-nothing market.
+def _naive_crossing(b: BeliefProfile) -> tuple[list[int], int, float]:
+    """The naive market's ranking of agents, crossing index m and price.
 
     Beliefs are ranked in descending order, ties broken by agent index, and
-    the crossing index m counts the leading ranks j (from 0) with
-    b_(j) >= (j+1)/n; b_(j) - j/n strictly decreases in j, so those ranks
-    come first.  Agents ranked above m stake everything on A and those
-    below it everything on B.  Beliefs lie inside (0, 1), so m < n.  If
-    b_(m) <= m/n (which needs m >= 1), agent m also goes all-in on B and
-    the market clears at the full split m/n.  Otherwise agent m is
-    marginal: the price is her belief and her partial stake balances the
-    security quantities.
-
-    The equilibrium is unique.  A single-agent market is degenerate: there
-    is nobody to trade against, her stake is zero, and the price is her
-    belief with the degenerate flag set.
+    m counts the leading ranks j (from 0) with b_(j) >= (j+1)/n; b_(j) - j/n
+    strictly decreases in j, so those ranks come first.  Beliefs lie inside
+    (0, 1), so m < n.  The price is the full split m/n if b_(m) <= m/n
+    (which needs m >= 1), and otherwise b_(m), the belief of the marginal
+    agent.
     """
     n = b.n
     # A reverse sort is stable, so tied beliefs keep agent order.
@@ -444,12 +444,36 @@ def naive_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     m = 0
     while ranked[m] >= (m + 1) / n:
         m += 1
+    bm = ranked[m]
+    return order, m, m / n if bm <= m / n else bm
+
+
+def _kelly_price(b: BeliefProfile) -> float:
+    """The log-utility market's price: the arithmetic mean of beliefs."""
+    return fsum(b.b) / b.n
+
+
+def naive_equilibrium(b: BeliefProfile) -> EquilibriumResult:
+    """Competitive equilibrium of the all-or-nothing market.
+
+    Agents ranked above the crossing index m (see _naive_crossing) stake
+    everything on A and those below it everything on B.  At the full split
+    m/n, agent m also goes all-in on B.  Otherwise agent m is marginal: the
+    price is her belief and her partial stake balances the security
+    quantities.
+
+    The equilibrium is unique.  A single-agent market is degenerate: there
+    is nobody to trade against, her stake is zero, and the price is her
+    belief with the degenerate flag set.
+    """
+    n = b.n
+    order, m, price = _naive_crossing(b)
     signed = [0.0] * n
     for rank, agent in enumerate(order):
         signed[agent] = 1.0 if rank < m else -1.0
-    bm = ranked[m]
-    if bm <= m / n:
-        return _result(signed, m / n, MarketKind.NAIVE)
+    if price == m / n:
+        return _result(signed, price, MarketKind.NAIVE)
+    bm = price  # agent m's belief
     # Quantity balance at price bm with agent m on A:
     # (1/bm) * (m + x) = (1/(1-bm)) * (n-m-1).
     x = bm * (n - m - 1) / (1.0 - bm) - m
@@ -465,7 +489,7 @@ def kelly_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     The books balance exactly at the arithmetic mean of beliefs; stakes are
     the per-agent Kelly gaps at that price.
     """
-    price = fsum(b.b) / b.n
+    price = _kelly_price(b)
     return _result([_kelly_signed(bi, price) for bi in b.b], price, MarketKind.KELLY)
 
 
@@ -574,6 +598,20 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
     """
     mean_log_odds = fsum(log(bi / (1.0 - bi)) for bi in b.b) / b.n
     return 1.0 / (1.0 + exp(-mean_log_odds))
+
+
+def market_price(b: BeliefProfile, kind: MarketKind, k: float | None) -> float:
+    """The clearing price solve_market(b, kind, k) reports, bit for bit, with
+    no stakes built for the three closed-form kinds; the finite taxed price
+    is solved as in solve_market (its Brent search needs the stakes), and
+    raises as it does."""
+    if kind is MarketKind.NAIVE:
+        return _naive_crossing(b)[2]
+    if kind is MarketKind.KELLY:
+        return _kelly_price(b)
+    if kind is MarketKind.TAXED_FINITE:
+        return taxed_equilibrium_finite(b, k).price
+    return taxed_equilibrium_asymptotic(b)
 
 
 def solve_market(b: BeliefProfile, kind: MarketKind, k: float | None) -> EquilibriumResult:

@@ -17,7 +17,9 @@ from jurymarkets import (
     CompetenceProfile,
     Decision,
     EquivalenceScheme,
+    MarketKind,
     SignalProfile,
+    beliefs_from_signals,
     check_all_schemes,
     check_linear_kelly,
     check_log_odds_taxed,
@@ -25,9 +27,12 @@ from jurymarkets import (
     check_simple_naive,
     decision_from_offset,
     enumerate_signal_space,
+    solve_market,
+    votes_from_beliefs,
+    weighted_margin,
 )
 from jurymarkets import equivalence
-from jurymarkets.equivalence import WEIGHT_SCHEMES
+from jurymarkets.equivalence import PAIRINGS, WEIGHT_SCHEMES, EquivalenceReport
 from tests.conftest import random_competences, random_signals
 
 competence_lists = st.lists(
@@ -249,3 +254,41 @@ class TestSharedInputs:
             "beliefs_from_signals": 2**4, "votes_from_beliefs": 2**4,
             "egalitarian": 1, "linear": 1, "log_odds": 1,
         }
+
+
+def solved_reports(q, y, k=None):
+    """check_all_schemes's reports built from each market's full solve: the
+    price and offset of solve_market's result, with no memo."""
+    beliefs = beliefs_from_signals(q, y)
+    votes = votes_from_beliefs(beliefs)
+    reports = []
+    for scheme in ALL_SCHEMES:
+        weights, kind = PAIRINGS[scheme]
+        finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None
+        result = solve_market(beliefs, MarketKind.TAXED_FINITE if finite else kind, k)
+        margin = weighted_margin(votes, WEIGHT_SCHEMES[weights](q))
+        election, market = decision_from_offset(margin), decision_from_offset(result.offset)
+        reports.append(EquivalenceReport(
+            scheme, election, market, election is market, result.price, margin,
+            guaranteed=not finite, k=k if finite else None,
+        ))
+    return reports
+
+
+class TestPricedMarkets:
+    """Pricing a market without its stakes leaves every report as solving it did."""
+
+    PANELS = {
+        "seeded": tuple(random_competences(random.Random(20), 6).q),
+        # Three competences whose linear-weight margins tie exactly.
+        "ties": (0.625, 0.75, 0.875) * 2,
+    }
+
+    @pytest.mark.parametrize("k", [None, 10.0])
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    def test_exhaustive_sweep_matches_solved_reports(self, panel, k):
+        q = CompetenceProfile(self.PANELS[panel])
+        for y in all_signal_profiles(q.n):
+            reports, expected = check_all_schemes(q, y, k), solved_reports(q, y, k)
+            assert reports == expected, y
+            assert [r.price.hex() for r in reports] == [r.price.hex() for r in expected], y

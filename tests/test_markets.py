@@ -904,3 +904,72 @@ class TestResultOffset:
             assert (agent["side"], agent["fraction"], agent["sA"], agent["sB"]) == (
                 None, s, s, s,
             )
+
+
+DYADIC = (0.125, 0.25, 0.375, 0.625, 0.75, 0.875)
+FINITE_KS = (1e-6, 10.0, 1e7)
+
+
+def price_only_panels():
+    """Seeded, one-agent, tied and dyadic, and near-0/1 belief panels."""
+    rng = random.Random(20)
+    for n in range(1, 13):
+        for _ in range(3):
+            yield random_beliefs(rng, n).b
+    yield from ((0.5,), (0.125,), (0.875,), (1e-13,), (1.0 - 1e-13,))
+    for n in range(2, 11):
+        for _ in range(4):
+            yield tuple(rng.choice(DYADIC) for _ in range(n))
+    yield from ((0.75,) * 4, (0.25,) * 3, (0.625, 0.625, 0.375, 0.375), DYADIC, DYADIC[::-1])
+    yield from lattice_panels(seed=20, per_n=2)
+    for panel in ((1e-13, 0.9), (5e-13, 0.3, 0.8), (1.0 - 1e-13, 0.2), (1.0 - 5e-13, 0.7, 0.1),
+                  (1e-12, 1.0 - 1e-12), (1e-13, 1e-13, 1.0 - 1e-13)):
+        yield panel
+
+
+class TestPriceWithoutStakes:
+    """market_price and price_offset give solve_market's price and offset bits."""
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [(kind, None) for kind in MarketKind if kind is not MarketKind.TAXED_FINITE]
+        + [(MarketKind.TAXED_FINITE, k) for k in FINITE_KS],
+    )
+    def test_price_and_offset_are_the_solved_bits(self, kind, k):
+        raised = 0
+        for beliefs in price_only_panels():
+            b = BeliefProfile(beliefs)
+            try:
+                result = solve_market(b, kind, k)
+            except (BracketingError, UndefinedPriceError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    markets.market_price(b, kind, k)
+                raised += 1
+                continue
+            price = markets.market_price(b, kind, k)
+            assert type(price) is float and price.hex() == result.price.hex(), (beliefs, k)
+            offset = markets.price_offset(kind, price, b.n)
+            assert type(offset) is float and offset.hex() == result.offset.hex(), (beliefs, k)
+        assert raised == 0 or kind is MarketKind.TAXED_FINITE
+
+    @pytest.mark.parametrize(
+        "beliefs, k", [((1e-20, 0.9), 10.0), ((0.3, 1e-300), 1e-3), ((0.6, 0.7), None)]
+    )
+    def test_a_finite_solve_that_raises_raises_the_same(self, beliefs, k):
+        b = BeliefProfile(beliefs)
+        with pytest.raises(Exception) as solved:
+            solve_market(b, MarketKind.TAXED_FINITE, k)
+        with pytest.raises(solved.type):
+            markets.market_price(b, MarketKind.TAXED_FINITE, k)
+
+    def test_naive_split_price_puts_every_agent_all_in(self):
+        # The crossing counts a rank whose belief equals its split (j+1)/n, so
+        # a price on a split i/n is a full split, never a marginal agent's.
+        splits = 0
+        for beliefs in price_only_panels():
+            n = len(beliefs)
+            result = naive_equilibrium(BeliefProfile(beliefs))
+            if any(result.price == i / n for i in range(1, n)):
+                splits += 1
+                assert set(result.stakes) <= {1.0, -1.0}, beliefs
+        assert splits >= 20
