@@ -922,9 +922,8 @@ def price_only_panels():
             yield tuple(rng.choice(DYADIC) for _ in range(n))
     yield from ((0.75,) * 4, (0.25,) * 3, (0.625, 0.625, 0.375, 0.375), DYADIC, DYADIC[::-1])
     yield from lattice_panels(seed=20, per_n=2)
-    for panel in ((1e-13, 0.9), (5e-13, 0.3, 0.8), (1.0 - 1e-13, 0.2), (1.0 - 5e-13, 0.7, 0.1),
-                  (1e-12, 1.0 - 1e-12), (1e-13, 1e-13, 1.0 - 1e-13)):
-        yield panel
+    yield from ((1e-13, 0.9), (5e-13, 0.3, 0.8), (1.0 - 1e-13, 0.2), (1.0 - 5e-13, 0.7, 0.1),
+                (1e-12, 1.0 - 1e-12), (1e-13, 1e-13, 1.0 - 1e-13))
 
 
 class TestPriceWithoutStakes:
