@@ -18,8 +18,17 @@ sampled batch the same way.  A batch's states and signals depend only on
 (seed, batch index) and the competences: they are read from the Philox
 stream keyed by that pair, whose words are a function of their position,
 so results are reproducible and the same however the batch's row blocks
-are spread over threads and CPUs.  verify_optimal_weights confronts the
-log-odds weighting with rival weight vectors on exact accuracies.
+are spread over threads and CPUs.  Each raw word carries four draws as
+16-bit lanes, lane j of word w being (w >> 16 j) & 0xFFFF.  With
+ceil(q * 2**53) = t * 2**37 + r, a lane below t matches the state and a
+lane above t does not, and a lane equal to t (about one in 65,536) matches
+when the top 37 bits of a fix-up word are below r.  Every draw is thus an
+exact Bernoulli(q) on the 53-bit grid of ``random() < q``.  The states read
+the first ceil(size / 4) words, the signals the words after them in
+row-major order, and each row block takes its fix-up words from a Philox
+substream of its own (see _sample_signals).  verify_optimal_weights
+confronts the log-odds weighting with rival weight vectors on exact
+accuracies.
 """
 
 from __future__ import annotations
@@ -79,8 +88,12 @@ class AccuracyEstimate:
 
 
 def _block_rows(n: int) -> int:
-    """Rows of an n-agent signal matrix that fill 1 MiB as float64."""
-    return max(1, 2**20 // (8 * n))
+    """Rows of an n-agent signal matrix that fill about 1 MiB as float64.
+
+    A multiple of 4, so that a block of n-agent rows fills whole raw words
+    of four 16-bit lanes (see _sample_signals).
+    """
+    return 4 * max(1, 2**20 // (32 * n))
 
 
 def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarray:
@@ -209,26 +222,48 @@ def _sampling_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _raw_thresholds(q: np.ndarray | float) -> np.ndarray:
-    """Raw Philox words below which a draw falls below q, for 0 < q < 1.
+def _thresholds(q: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """The lane rule's (t, r) for competences 0 < q < 1: ceil(q * 2**53) = t * 2**37 + r.
 
-    A Philox double is (raw >> 11) * 2**-53, so random() < q exactly when
-    raw >> 11 < ceil(q * 2**53), that is raw < ceil(q * 2**53) << 11.
+    A Philox double is a 53-bit integer U times 2**-53, so random() < q
+    exactly when U < ceil(q * 2**53).  Split U into its top 16 bits (a lane)
+    and its low 37 bits: U is below the threshold exactly when the lane is
+    below t, or equals t and the low bits are below r.  t is a uint16, at
+    most 65,535 since q <= 1 - 2**-53.
     """
-    return np.ceil(q * 2.0**53).astype(np.uint64) << np.uint64(11)
+    top = np.ceil(np.asarray(q) * 2.0**53).astype(np.uint64)
+    return (top >> np.uint64(37)).astype(np.uint16), top & np.uint64(2**37 - 1)
+
+
+def _lanes(words: np.ndarray) -> np.ndarray:
+    """The 16-bit lanes of raw words: lane j of word w is (w >> 16 j) & 0xFFFF."""
+    return words.astype("<u8", copy=False).view("<u2")
 
 
 def _fill_signals(
     bits: np.random.BitGenerator,
-    thresholds: np.ndarray,
+    fixups: Callable[[int], np.ndarray],
+    thresholds: tuple[np.ndarray, np.ndarray],
     states: np.ndarray,
     signals: np.ndarray,
     start: int,
     stop: int,
 ) -> None:
-    """Fill the signal rows [start, stop) of one block from bits' next raw words."""
+    """Fill the signal rows [start, stop) of one block, four cells per raw word.
+
+    Cell c of the block reads lane c % 4 of bits' next word c // 4 and
+    matches its state when the lane is below t.  The lanes equal to t,
+    about one in 65,536, take the words of one fixups(count) call in
+    row-major cell order, and match when a word's top 37 bits are below r
+    (never when r is 0).
+    """
+    t, r = thresholds
     block = signals[start:stop]
-    np.less(bits.random_raw(block.shape), thresholds, out=block)
+    lanes = _lanes(bits.random_raw(-(-block.size // 4)))[: block.size].reshape(block.shape)
+    np.less(lanes, t, out=block)
+    tied = np.flatnonzero(lanes == t)
+    if tied.size:
+        np.put(block, tied, fixups(tied.size) >> np.uint64(27) < r[tied % block.shape[1]])
     # A signal favours A exactly when "it matches the state" equals "the state is A".
     np.equal(block, states[start:stop, None], out=block)
 
@@ -239,29 +274,40 @@ def _sample_signals(
     """Sample (states, signals) for the batch whose Philox key is key.
 
     states is a boolean vector (True = state A); signals is a boolean matrix
-    (True = the agent's signal, and so her belief, favours A).  Both are
-    drawn from raw words of Philox(key=key): the states from the first size
-    words, the signals row by row from the words after them, bit for bit
-    ``rng.random(size) < 0.5`` followed by ``(rng.random((size, n)) < q) ==
-    states[:, None]`` on a Generator of that Philox, without its float64
-    uniforms.
+    (True = the agent's signal, and so her belief, favours A).  Every draw is
+    an exact Bernoulli(q) on the 53-bit grid of ``random() < q``, taken from
+    16-bit lanes of raw words of Philox(key=key) by the rule of _thresholds:
+    a lane below t matches, a lane above t does not, and a lane equal to t
+    reads 37 more bits from a fix-up word.  Lane j of word w is
+    (w >> 16 j) & 0xFFFF, whatever the host's byte order.  The states use
+    the rule at q = 1/2 (t = 2**15, r = 0, so no fix-up) on lane i of the
+    first ceil(size / 4) words.  Signal cell c = row * n + agent reads lane
+    c % 4 of word ceil(size / 4) + c // 4, and the signals match their
+    states with probability q.
 
     Philox is counter-based: word w of a stream is a function of the key and
-    w alone, so the batch depends only on key and q.  One thread per CPU
-    (_sampling_workers, capped by the number of blocks), the calling thread
-    among them, claims blocks of _block_rows rows one at a time; block 0
+    w alone, so the batch depends only on key and q.  The rows come in
+    blocks of _block_rows rows, a multiple of 4, so the block starting at
+    row ``start`` begins on a word boundary, at ceil(size / 4) + start * n /
+    4.  Block b takes its fix-up words, in row-major cell order, from a
+    substream no other block reads: Philox(key) with counter[1] = 1 + b.
+    One thread per CPU (_sampling_workers, capped by the number of blocks),
+    the calling thread among them, claims blocks one at a time; block 0
     continues the states' Philox and every other block moves the claiming
     thread's own Philox to its first word by assigning its counter, which
-    costs about a sixth of building a Philox.  numpy releases the GIL in the
-    word generation and the comparisons.  Claiming block by block, not in
-    fixed runs, means a thread whose CPU stalls holds back only its current
-    block.  The threads
-    are joined before return and a block's exception is raised here.
+    costs about a sixth of building a Philox.  The same Philox is then moved
+    to the block's fix-up substream when the block has a lane to fix up.
+    numpy releases the GIL in the word generation and the comparisons.
+    Claiming block by block, not in fixed runs, means a thread whose CPU
+    stalls holds back only its current block.  The threads are joined before
+    return and a block's exception is raised here.
     """
     n = q_vec.size
     bits = np.random.Philox(key=key)
-    states = bits.random_raw(size) < _raw_thresholds(0.5)
-    thresholds = _raw_thresholds(q_vec)
+    half, _ = _thresholds(0.5)  # r = 0: a lane equal to t = 2**15 is never a match
+    first = -(-size // 4)  # the signals' first word
+    states = _lanes(bits.random_raw(first))[:size] < half
+    thresholds = _thresholds(q_vec)
     signals = np.empty((size, n), dtype=bool)
     step = _block_rows(n)
     starts = iter(range(0, size, step))
@@ -269,26 +315,36 @@ def _sample_signals(
     errors: list[Exception] = []
 
     def fill() -> None:
-        own = None  # this thread's Philox for blocks after the first
+        own = state = None  # this thread's Philox and its state, built on first use
+
+        def seek(substream: int, word: int) -> np.random.Philox:
+            """This thread's Philox, moved to word of the given substream."""
+            nonlocal own, state
+            if own is None:
+                own = np.random.Philox(key=key)
+                state = own.state
+            # Philox computes words 4c .. 4c+3 from counter c.
+            state["state"]["counter"][:2] = word // 4, substream
+            own.state = state
+            own.random_raw(word % 4)
+            return own
+
         while True:
             with claim:
                 start = next(starts, None)
             if start is None or errors:
                 return
             try:
-                block_bits = bits
-                if start:
-                    if own is None:
-                        own = np.random.Philox(key=key)
-                        state = own.state
-                    # Philox computes words 4c .. 4c+3 from counter c.
-                    word = size + start * n
-                    state["state"]["counter"][0] = word // 4
-                    own.state = state
-                    own.random_raw(word % 4)
-                    block_bits = own
-                stop = min(start + step, size)
-                _fill_signals(block_bits, thresholds, states, signals, start, stop)
+                block_bits = seek(0, first + start * n // 4) if start else bits
+                _fill_signals(
+                    block_bits,
+                    lambda count: seek(1 + start // step, 0).random_raw(count),
+                    thresholds,
+                    states,
+                    signals,
+                    start,
+                    min(start + step, size),
+                )
             except Exception as exc:  # re-raised on the calling thread
                 errors.append(exc)
 
@@ -317,11 +373,15 @@ def monte_carlo_accuracy(
     half-price weights, with no price solved.  Batch i is drawn from the
     Philox key (seed, i), and its states and signals depend only on that
     key and q, so the estimate is byte-identical however the batch's row
-    blocks are scheduled.  Within a batch, signals are drawn and margins
-    summed in row blocks of about 1 MiB, which changes no draw and no
-    decision; the blocks are drawn on one thread per CPU (see
-    _sample_signals), each holding one block of raw words at a time, and
-    every thread is joined before the batch is decided.
+    blocks are scheduled.  Each raw word gives four draws as 16-bit lanes:
+    the states take the first ceil(size / 4) words, the signals the words
+    after them in row-major order, and the rare lane that ties its
+    competence's threshold reads 37 more bits from its row block's own
+    fix-up substream, Philox(key) with counter[1] = 1 + block.  Within a
+    batch, signals are drawn and margins summed in row blocks of about
+    1 MiB, which changes no draw and no decision; the blocks are drawn on
+    one thread per CPU (see _sample_signals), each holding one block of raw
+    words at a time, and every thread is joined before the batch is decided.
     """
     if trials < 1:
         raise ValueError(f"trials {trials!r} must be at least 1")

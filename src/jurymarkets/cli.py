@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from math import log
 from operator import attrgetter
 from sys import float_info
 from typing import Callable, Iterable
@@ -57,6 +56,7 @@ from .markets import (
     BracketingError,
     MarketKind,
     UndefinedPriceError,
+    _asymptotic_log_ratio,
     solve_market,
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
@@ -639,15 +639,15 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     k_list = _parse_k_list(args.k_list)
     beliefs = _config_beliefs(cfg)
     asymptotic_price = taxed_equilibrium_asymptotic(beliefs)
-    log_odds = [log(b / (1.0 - b)) for b in beliefs.b]
-    price_log_odds = log(asymptotic_price / (1.0 - asymptotic_price))
+    # k times each agent's taxed_best_response_asymptotic stake, divided by each k.
+    log_ratios = [_asymptotic_log_ratio(b, asymptotic_price) for b in beliefs.b]
 
     # One block of rows per k; the agent and belief texts serve every block.
     agent = Cells(map(str, range(beliefs.n)))
     belief = Cells(map(repr, beliefs.b))
     blocks = []
     for k in k_list:
-        asymptotic = [(lo - price_log_odds) / k for lo in log_odds]
+        asymptotic = [ratio / k for ratio in log_ratios]
         try:
             result = taxed_equilibrium_finite(beliefs, k)
         except (BracketingError, UndefinedPriceError) as exc:

@@ -388,11 +388,20 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
     _check_price(p)
     _check_belief(b)
     _check_k(k)
+    return SideInvestment(_asymptotic_log_ratio(b, p) / k)
+
+
+def _asymptotic_log_ratio(b: float, p: float) -> float:
+    """k times the asymptotic taxed stake: the signed log odds ratio of b to p.
+
+    One log of the ratio that is at least 1, negated for a B-staker, so the
+    two sides mirror each other bit for bit.
+    """
     if b > p:
-        return SideInvestment(log((1.0 - p) / p * b / (1.0 - b)) / k)
+        return log((1.0 - p) / p * b / (1.0 - b))
     if b < p:
-        return SideInvestment(-(log(p / (1.0 - p) * (1.0 - b) / b) / k))
-    return SideInvestment(0.0)
+        return -log(p / (1.0 - p) * (1.0 - b) / b)
+    return 0.0
 
 
 def _result(

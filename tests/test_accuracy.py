@@ -27,12 +27,12 @@ from jurymarkets import (
 )
 from jurymarkets.accuracy import (
     MARGIN_RESCUE_BOUND,
-    _batch_generator,
     _block_rows,
     _fill_signals,
+    _lanes,
     _majority_decisions,
-    _raw_thresholds,
     _sample_signals,
+    _thresholds,
 )
 from jurymarkets.equivalence import PAIRINGS, WEIGHT_SCHEMES
 from jurymarkets.voting import TIE_TOLERANCE
@@ -302,46 +302,90 @@ class TestMonteCarlo:
         extremes = np.array(
             [0.55, 0.6, 0.75, 0.9, 0.99, 0.5 + 2.0**-40, 0.5 + 2.0**-53, BELOW_ONE]
         )
-        # 3,001 agents: 1,000 rows fill 23 blocks of 43 rows and part of a 24th.
+        # 3,001 agents: 1,000 rows fill 25 blocks of 40 rows.
         wide = np.random.default_rng(5).uniform(0.5, 1.0, 3001)
         for q_vec, seed, size, blocks in (
             (extremes, 0, 1, 1),
             (extremes, 3, 1000, 1),
             (extremes, 2**64 - 1, 4097, 1),
-            (wide, 4, 1000, 24),
+            (wide, 4, 1000, 25),
         ):
             assert -(-size // _block_rows(q_vec.size)) == blocks
             states, signals = _sample_signals(batch_key(seed), q_vec, size)
-            rng = _batch_generator(seed, 7)
-            expected_states = rng.random(size) < 0.5
-            matches = rng.random((size, q_vec.size)) < q_vec
+            expected_states, expected_signals = one_shot_signals(seed, q_vec, size)
             assert np.array_equal(states, expected_states)
             assert signals.dtype == bool and signals.shape == (size, q_vec.size)
-            assert np.array_equal(signals, np.where(expected_states[:, None], matches, ~matches))
+            assert np.array_equal(signals, expected_signals)
 
     def test_raw_word_rule_is_the_float_rule_at_its_edges(self):
-        # Philox's random() is (raw >> 11) * 2**-53.  Feed _fill_signals
-        # the raw words on both sides of every competence's threshold.  Below
-        # 1/2, q * 2**53 need not be an integer, so 0.3 and 1e-3 check the ceil.
-        q_vec = np.array([0.5 + 2.0**-53, 0.6, 0.75, BELOW_ONE, 0.3, 1e-3])
-        words = [0, 2**64 - 1]
-        for q in q_vec.tolist():
+        # A draw is the 53-bit value U = lane << 37 | the top 37 bits of a
+        # fix-up word, and matches exactly when U * 2**-53 < q.  Plant lanes
+        # at t - 1, t and t + 1 and fix-up bits at r - 1 and r, with junk in
+        # the fix-up word's low 27 bits, which the rule must not read.
+        near = 3 / 65_536  # t = 3, r = 0
+        for q in (BELOW_ONE, 5e-324, near, float(np.nextafter(near, 1.0)), 0.3, 1e-3,
+                  0.5 + 2.0**-53, 0.75):
             top = ceil(q * 2**53)  # the least 53-bit value whose double is not below q
-            for t in (top - 1, top):
-                words += [t << 11, (t << 11) | 0x7FF]
-        raw = np.tile(np.array(words, dtype=np.uint64)[:, None], (1, q_vec.size))
+            t, r = top >> 37, top & (2**37 - 1)
+            cases = [
+                (lane, bits)
+                for lane in (t - 1, t, t + 1)
+                if 0 <= lane < 2**16
+                for bits in (r - 1, r)
+                if bits >= 0
+            ]
+            lanes = [lane for lane, _ in cases]
+            lanes += [0] * (-len(lanes) % 4)
+            words = np.array(
+                [sum(lane << (16 * j) for j, lane in enumerate(lanes[i : i + 4]))
+                 for i in range(0, len(lanes), 4)],
+                dtype=np.uint64,
+            )
+            fixups = np.array(
+                [bits << 27 | 0x7FFFFFF for lane, bits in cases if lane == t], dtype=np.uint64
+            )
 
-        class PlantedWords:
-            """Hands out the planted raw words."""
+            class PlantedWords:
+                """Hands out the planted raw words."""
 
-            def random_raw(self, shape):
-                assert shape == raw.shape
-                return raw
+                def random_raw(self, count):
+                    assert count == len(words)
+                    return words
 
-        states = np.ones(len(words), dtype=bool)  # state A: a signal favours A when it matches
-        signals = np.empty(raw.shape, dtype=bool)
-        _fill_signals(PlantedWords(), _raw_thresholds(q_vec), states, signals, 0, len(words))
-        assert np.array_equal(signals, (raw >> np.uint64(11)) * 2.0**-53 < q_vec)
+            def planted_fixups(count):
+                assert count == len(fixups) > 0
+                return fixups
+
+            states = np.ones(len(cases), dtype=bool)  # state A: a signal favours A when it matches
+            signals = np.empty((len(cases), 1), dtype=bool)
+            _fill_signals(PlantedWords(), planted_fixups, _thresholds(np.array([q])), states,
+                          signals, 0, len(cases))
+            expected = [(lane << 37 | bits) * 2.0**-53 < q for lane, bits in cases]
+            assert signals[:, 0].tolist() == expected, q
+            assert any(expected) and not all(expected), q
+
+    def test_lanes_are_the_arithmetic_lanes(self):
+        words = np.concatenate((
+            np.array([0, 2**64 - 1, 0x0123456789ABCDEF, 0x8000_0000_0000_0001], dtype=np.uint64),
+            np.random.Philox(key=np.array([1, 2], dtype=np.uint64)).random_raw(1000),
+        ))
+        expected = [(w >> (16 * j)) & 0xFFFF for w in words.tolist() for j in range(4)]
+        assert _lanes(words).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "q", [0.5, 0.5 + 2.0**-53, 0.75 - 2.0**-40, 0.6, 3 / 65_536],
+        ids=["half", "half+ulp", "three-quarters-", "0.6", "3/65536"],
+    )
+    def test_lane_draws_have_frequency_q(self, q):
+        # 32 agents of competence q over 65,536 rows: 2,097,152 draws.
+        q_vec = np.full(32, q)
+        states, signals = _sample_signals(batch_key(11), q_vec, 65_536)
+        draws = signals.size
+        matches = np.count_nonzero(signals == states[:, None])
+        z = (matches - draws * q) / (draws * q * (1 - q)) ** 0.5
+        assert abs(z) < 5, (q, matches, z)
+        states_z = (2 * np.count_nonzero(states) - states.size) / states.size**0.5
+        assert abs(states_z) < 5, states_z
 
     def test_batch_boundary_handling(self):
         q = CompetenceProfile((0.7, 0.7))
@@ -366,10 +410,35 @@ def batch_key(seed: int) -> np.ndarray:
 
 
 def one_shot_signals(seed: int, q_vec: np.ndarray, size: int):
-    """Batch 7 drawn with no blocks and no threads: (states, signals)."""
-    rng = _batch_generator(seed, 7)
-    states = rng.random(size) < 0.5
-    matches = rng.bit_generator.random_raw((size, q_vec.size)) < _raw_thresholds(q_vec)
+    """Batch 7 drawn by the lane rule with no blocks and no threads: (states, signals).
+
+    The states read lane i of the first ceil(size / 4) words and the signal
+    cell c = row * n + agent lane c % 4 of the word ceil(size / 4) + c // 4,
+    each lane (w >> 16 j) & 0xFFFF.  The thresholds are Python integers.  A
+    cell whose lane equals t reads the next word of its row block's fix-up
+    substream, Philox(key) with counter[1] = 1 + block.
+    """
+    n = q_vec.size
+    key = batch_key(seed)
+    first = -(-size // 4)
+    words = np.random.Philox(key=key).random_raw(first + -(-size * n // 4))
+    lanes = np.empty((len(words), 4), dtype=np.uint16)
+    for j in range(4):
+        lanes[:, j] = (words >> np.uint64(16 * j)) & np.uint64(0xFFFF)
+    lanes = lanes.reshape(-1)
+    states = lanes[:size] < 2**15
+    tops = [ceil(q * 2**53) for q in q_vec.tolist()]
+    t = np.array([top >> 37 for top in tops])
+    r = [top & (2**37 - 1) for top in tops]
+    cells = lanes[4 * first : 4 * first + size * n].reshape(size, n)
+    matches = cells < t
+    substreams = {}
+    for row, agent in zip(*np.nonzero(cells == t)):  # row-major order
+        block = row // _block_rows(n)
+        if block not in substreams:
+            substreams[block] = np.random.Philox(key=key, counter=[0, 1 + block, 0, 0])
+        fixup = int(substreams[block].random_raw())
+        matches[row, agent] = fixup >> 27 < r[agent]
     return states, matches == states[:, None]
 
 
@@ -401,9 +470,15 @@ class TestThreadedSampling:
         monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: workers)
         fills = []
 
-        def recording_fill(bits, thresholds, states, signals, start, stop):
-            fills.append((start, stop, threading.get_ident(), bits, word_position(bits)))
-            _fill_signals(bits, thresholds, states, signals, start, stop)
+        def recording_fill(bits, fixups, thresholds, states, signals, start, stop):
+            fixed = []
+
+            def recording_fixups(count):
+                fixed.append(count)
+                return fixups(count)
+
+            fills.append((start, stop, threading.get_ident(), word_position(bits), fixed))
+            _fill_signals(bits, recording_fixups, thresholds, states, signals, start, stop)
 
         monkeypatch.setattr("jurymarkets.accuracy._fill_signals", recording_fill)
         built = []
@@ -421,7 +496,8 @@ class TestThreadedSampling:
         for n in (3, 101, 3001):
             q_vec = panels.uniform(0.5, 1.0, n)
             step = _block_rows(n)
-            sizes = [1, step, step + 1]
+            assert step % 4 == 0
+            sizes = [1, 2, step, step + 1, step + 3]
             # 65,536 rows of 3,001 agents would hold 197 MB per matrix.
             sizes += [1000] if n == 3001 else [65_535, 65_536, 65_537]
             for size in sizes:
@@ -429,27 +505,29 @@ class TestThreadedSampling:
                 fills.clear()
                 built.clear()
                 states, signals = _sample_signals(batch_key(seed), q_vec, size)
-                blocks = -(-size // step)
-                # The states' Philox and one more per thread that filled a
-                # block after the first.
-                later = {fill[2]: fill[3] for fill in fills if fill[0]}
-                assert len(built) == 1 + len(later), (n, size)
-                want_states, want_signals = one_shot_signals(seed, q_vec, size)
+                with monkeypatch.context() as plain:
+                    plain.setattr(np.random, "Philox", philox)
+                    want_states, want_signals = one_shot_signals(seed, q_vec, size)
                 assert np.array_equal(states, want_states), (n, size, seed)
                 assert np.array_equal(signals, want_signals), (n, size, seed)
                 # Up to one thread per worker fills each block exactly once.
+                blocks = -(-size // step)
                 bounds = list(range(0, size, step)) + [size]
                 assert sorted(fill[:2] for fill in fills) == list(zip(bounds, bounds[1:]))
-                assert len({fill[2] for fill in fills}) <= min(workers, blocks)
-                for start, _, thread, bits, position in fills:
-                    # Each block starts at its own first word, after the states'.
-                    assert position == size + start * n, (n, size, start)
-                    if start:
-                        residues.add(position % 4)
-                        assert bits is later[thread], (n, size, start)
-                    else:
-                        # Block 0 continues the Philox that drew the states.
-                        assert bits is built[0], (n, size)
+                threads = {fill[2] for fill in fills}
+                assert len(threads) <= min(workers, blocks)
+                # The states' Philox and at most one more per thread, which
+                # serves both its later blocks and its fix-ups.
+                assert len(built) <= 1 + len(threads), (n, size)
+                for start, _, _, position, _ in fills:
+                    # Each block starts on a word boundary, after the states'.
+                    assert position == -(-size // 4) + start * n // 4, (n, size, start)
+                    residues.add(position % 4)
+                fixed_blocks = [fill[0] for fill in fills if fill[4]]
+                # A block asks for its fix-up words at most once.
+                assert all(len(fill[4]) <= 1 for fill in fills)
+                if (n, size) == (101, 65_536):
+                    assert len(fixed_blocks) > 1, fixed_blocks
         assert residues == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -470,13 +548,13 @@ class TestThreadedSampling:
         caller = threading.current_thread()
         failed = threading.Event()
 
-        def failing_fill(bits, thresholds, states, signals, start, stop):
+        def failing_fill(bits, fixups, thresholds, states, signals, start, stop):
             if (threading.current_thread() is not caller) == (where == "worker"):
                 failed.set()
                 raise RuntimeError(f"planted failure on the {where}")
             # Leave blocks for the side that is to fail.
             assert failed.wait(timeout=30)
-            _fill_signals(bits, thresholds, states, signals, start, stop)
+            _fill_signals(bits, fixups, thresholds, states, signals, start, stop)
 
         monkeypatch.setattr("jurymarkets.accuracy._fill_signals", failing_fill)
         before = threading.active_count()

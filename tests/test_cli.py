@@ -227,10 +227,7 @@ class TestSweepK:
         for row in rows:
             b, p, k = (float(row[name]) for name in ("belief", "asymptotic_price", "k"))
             expected = taxed_best_response_asymptotic(b, p, k).stake
-            # The column subtracts the price's log-odds from the belief's; the
-            # best response takes one log of their odds ratio.  Both round.
-            gap = abs(float(row["asymptotic_strategy"]) - expected)
-            assert gap <= 4.0 * sys.float_info.epsilon * abs(expected), row
+            assert float(row["asymptotic_strategy"]) == expected, row
 
 
     def test_overflowing_k_fills_the_error_column(self, example1):
@@ -254,7 +251,7 @@ class TestSweepK:
             else:
                 stakes, price, error = solved.stakes, solved.price, None
             for i, (b, s) in enumerate(zip(beliefs.b, stakes)):
-                asymptotic = (math.log(b / (1.0 - b)) - math.log(p / (1.0 - p))) / k
+                asymptotic = taxed_best_response_asymptotic(b, p, k).stake
                 writer.writerow((k, i, b, s, asymptotic, price, p, error))
         assert result.stdout.decode() == buffer.getvalue()
         rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))

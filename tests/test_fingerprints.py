@@ -4,9 +4,12 @@
 result's price, stakes and clearing residual plus its iteration counts, or
 the type of the exception the case raises.  ``cli.txt`` holds the exit code
 and the SHA-256 of the bytes of one CLI call per line, on seeded panels at
-the sizes the benchmark runs (the goldens stop at five agents).  Either way
-a diff names the case that moved.  A change that moves them on purpose
-regenerates both files and lists the moved lines in CHANGES.md:
+the sizes the benchmark runs (the goldens stop at five agents).  ``mc.txt``
+holds the ``float.hex`` of the value, tie mass and standard error of seeded
+Monte Carlo estimates of weak juries, whose values stay clear of 1 and so
+pin the sampler's bits.  Either way a diff names the case that moved.  A change that
+moves them on purpose regenerates the three files and lists the moved lines
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_fingerprints.py
 
@@ -30,11 +33,19 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from jurymarkets import BeliefProfile, MarketKind, solve_market
+from jurymarkets import (
+    BeliefProfile,
+    CompetenceProfile,
+    MarketKind,
+    majority_aggregator,
+    monte_carlo_accuracy,
+    solve_market,
+)
 from jurymarkets.cli import main
 
 SOLVERS_FILE = Path(__file__).resolve().parent / "fingerprints" / "solvers.txt"
 CLI_FILE = SOLVERS_FILE.with_name("cli.txt")
+MC_FILE = SOLVERS_FILE.with_name("mc.txt")
 
 TAX_RATES = (1e-6, 0.1, 10.0, 1e3, 1e7, 1e300)
 # Beliefs at the ends of the open unit interval.
@@ -178,6 +189,30 @@ def cli_lines(workdir: Path) -> list[str]:
     return lines
 
 
+def mc_lines() -> list[str]:
+    """Monte Carlo estimates on seeded panels of weak agents.
+
+    Competences in (0.51, 0.6) keep every value past one trial away from 1,
+    and the trial counts reach one row, a part block, one batch less one
+    row and two batches.
+    """
+    rng = random.Random(22)
+    lines = [host_header()]
+    for n in (1, 3, 11, 101):
+        q = CompetenceProfile(tuple(rng.uniform(0.51, 0.6) for _ in range(n)))
+        lines.append(f"n={n} competences={','.join(c.hex() for c in q.q)}")
+        for trials in (1, 200, 65_535, 65_537):
+            for seed in (0, 2**64 - 1):
+                for scheme in ("egalitarian", "linear", "log_odds"):
+                    e = monte_carlo_accuracy(majority_aggregator(scheme), q, trials, seed)
+                    lines.append(
+                        f"n={n} trials={trials} seed={seed} {e.aggregator}: "
+                        f"value={e.value.hex()} tie_mass={e.tie_mass.hex()} "
+                        f"std_error={e.std_error.hex()}"
+                    )
+    return lines
+
+
 def compare(path: Path, current_lines: Callable[[], list[str]]) -> None:
     """Compare a fingerprint file with fresh lines, or skip on another platform."""
     recorded = path.read_text().splitlines()
@@ -197,9 +232,14 @@ def test_cli_fingerprint(tmp_path):
     compare(CLI_FILE, lambda: cli_lines(tmp_path))
 
 
+def test_monte_carlo_fingerprint():
+    compare(MC_FILE, mc_lines)
+
+
 if __name__ == "__main__":
     SOLVERS_FILE.parent.mkdir(exist_ok=True)
     SOLVERS_FILE.write_text("\n".join(fingerprint_lines()) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
         CLI_FILE.write_text("\n".join(cli_lines(Path(workdir))) + "\n")
-    print(f"wrote {SOLVERS_FILE} and {CLI_FILE}", file=sys.stderr)
+    MC_FILE.write_text("\n".join(mc_lines()) + "\n")
+    print(f"wrote {SOLVERS_FILE}, {CLI_FILE} and {MC_FILE}", file=sys.stderr)
