@@ -11,9 +11,11 @@ those limits differ whenever the price is away from 0.5.  The per-agent
 strategy gaps do vanish, and both prices stay on the same side of 0.5 --
 which is what the decision-level equivalence needs.
 
-A tax rate that fails to solve ends the run before any CSV is written, with
-one ``solver error: ...`` line on stderr and exit status 2, as the CLI's
-``solve`` does.
+The asymptotic strategies are the ones ``sweep-k`` prints: one log odds
+ratio per agent, divided by each k.  The CSV goes through the CLI's writer,
+to stdout or ``--output``.  A tax rate that fails to solve ends the run
+before any CSV is written, with one ``solver error: ...`` line on stderr and
+exit status 2, as the CLI's ``solve`` does.
 
     python scripts/tax_convergence.py
     python scripts/tax_convergence.py --config configs/example2.json \
@@ -23,20 +25,19 @@ one ``solver error: ...`` line on stderr and exit status 2, as the CLI's
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from jurymarkets import (
-    taxed_best_response_asymptotic,
-    taxed_equilibrium_asymptotic,
-    taxed_equilibrium_finite,
+from jurymarkets import taxed_equilibrium_asymptotic, taxed_equilibrium_finite
+from jurymarkets.cli import (
+    ConfigError, Table, _config_beliefs, _csv_text, _write_output, load_config,
 )
-from jurymarkets.cli import ConfigError, _config_beliefs, load_config
-from jurymarkets.markets import BracketingError, UndefinedPriceError, _check_k
+from jurymarkets.markets import (
+    BracketingError, UndefinedPriceError, _asymptotic_log_ratio, _check_k,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 COLUMNS = (
@@ -82,50 +83,33 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     asym_price = taxed_equilibrium_asymptotic(b)
+    log_ratios = [_asymptotic_log_ratio(belief, asym_price) for belief in b.b]
 
-    rows = []
+    prices, gaps, strategy_gaps, iterations = [], [], [], []
     for k in grid:
         try:
             result = taxed_equilibrium_finite(b, k)
         except (UndefinedPriceError, BracketingError) as exc:
             print(f"solver error: {exc}", file=sys.stderr)
             return 2
-        strategy_gap = 0.0
-        for belief, solved in zip(b.b, result.stakes):
-            target = taxed_best_response_asymptotic(belief, asym_price, k).stake
-            strategy_gap = max(strategy_gap, abs(solved - target))
-        rows.append(
-            (
-                k,
-                result.price,
-                asym_price,
-                abs(result.price - asym_price),
-                strategy_gap,
-                result.diagnostics.iterations,
-            )
+        prices.append(result.price)
+        gaps.append(abs(result.price - asym_price))
+        strategy_gaps.append(
+            max(0.0, *(abs(s - ratio / k) for s, ratio in zip(result.stakes, log_ratios)))
         )
+        iterations.append(result.diagnostics.iterations)
 
-    try:
-        sink = open(args.output, "w", newline="") if args.output else sys.stdout
-    except OSError as exc:
-        print(f"error: cannot write output {str(args.output)!r}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            sink.close()
+    table = Table(COLUMNS, [(grid, prices, asym_price, gaps, strategy_gaps, iterations)])
+    status = _write_output(_csv_text(table), args.output and str(args.output))
+    if status:
+        return status
 
-    gaps = [row[3] for row in rows]
     same_side = all(
-        (row[1] - 0.5) * (asym_price - 0.5) >= 0 or math.isclose(row[1], 0.5)
-        for row in rows
+        (price - 0.5) * (asym_price - 0.5) >= 0 or math.isclose(price, 0.5) for price in prices
     )
     print(
         f"price gap: first {gaps[0]:.3e}, last {gaps[-1]:.3e}; "
-        f"max strategy gap at largest k: {rows[-1][4]:.3e}; "
+        f"max strategy gap at largest k: {strategy_gaps[-1]:.3e}; "
         f"finite and asymptotic prices on the same side of 0.5: {same_side}",
         file=sys.stderr,
     )

@@ -98,6 +98,8 @@ SWEEP_COLUMNS = (
 
 # Each agent field and the lower end of its open range (low, 1).
 AGENT_LOWER_BOUNDS = {"competence": 0.5, "belief": 0.0}
+# Each config field the model fixes, and the one value it accepts.
+FIXED_VALUES = {"prior": 0.5, "endowment": 1.0}
 
 
 class ConfigError(ValueError):
@@ -179,8 +181,8 @@ def parse_config(
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     known = {
-        "agents", "signals", "market", "k", "weights", "seed", "trials",
-        "output", "format", "prior", "endowment",
+        "agents", "signals", "market", "k", "weights", "seed", "trials", "output", "format",
+        *FIXED_VALUES,
     }
     for key in data:
         if key not in known:
@@ -191,14 +193,12 @@ def parse_config(
     competences, beliefs = _parse_agents(data["agents"])
     n = len(competences) if competences is not None else len(beliefs)
 
-    prior = data.get("prior", 0.5)
-    if not _is_real(prior) or prior != 0.5:
-        raise ConfigError(f"prior={prior!r} is not supported; the model fixes prior=0.5")
-    endowment = data.get("endowment", 1.0)
-    if not _is_real(endowment) or endowment != 1.0:
-        raise ConfigError(
-            f"endowment={endowment!r} is not supported; the model fixes endowment=1"
-        )
+    for name, fixed in FIXED_VALUES.items():
+        value = data.get(name, fixed)
+        if not _is_real(value) or value != fixed:
+            raise ConfigError(
+                f"{name}={value!r} is not supported; the model fixes {name}={fixed:g}"
+            )
 
     signals = data.get("signals")
     if signals is not None:
@@ -741,6 +741,21 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+def _write_output(text: str, path: str | None) -> int:
+    """Write ``text`` to stdout, or to the file at ``path``: EXIT_OK, or EXIT_CONFIG
+    after one ``error: cannot write output ...`` line if the file cannot be written."""
+    if path is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output {path!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped onto the validation exit code."""
 
@@ -804,16 +819,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.output is None:
-        sys.stdout.write(text)
-        return status
-    try:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output {cfg.output!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return status
+    return _write_output(text, cfg.output) or status
 
 
 if __name__ == "__main__":  # pragma: no cover

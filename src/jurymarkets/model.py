@@ -109,12 +109,9 @@ class BeliefProfile:
 
 
 def posterior_belief(q_i: float, y_i: str) -> float:
-    """Posterior probability of state A after one signal under a fair prior."""
-    if not 0.5 < q_i < 1.0:
-        raise ValueError(f"competence {q_i!r} must lie strictly between 0.5 and 1")
-    if y_i not in STATES:
-        raise ValueError(f"signal {y_i!r} must be 'A' or 'B'")
-    return q_i if y_i == STATE_A else 1.0 - q_i
+    """Posterior probability of state A after one signal under a fair prior:
+    beliefs_from_signals for a panel of one."""
+    return beliefs_from_signals(CompetenceProfile((q_i,)), SignalProfile((y_i,))).b[0]
 
 
 def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfile:
@@ -123,7 +120,6 @@ def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfil
         raise ValueError(
             f"competence profile has {q.n} agents but signal profile has {y.n}"
         )
-    # Both profiles are validated already, so posterior_belief's checks are skipped.
     return BeliefProfile(tuple(qi if yi == STATE_A else 1.0 - qi for qi, yi in zip(q.q, y.y)))
 
 

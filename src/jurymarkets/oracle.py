@@ -120,15 +120,10 @@ def _grid_best_quantities(
     keep = np.log1p(-s)
     u_a = b * _log_utility_win_branch(s, p, kind, k) + (1.0 - b) * keep
     u_b = (1.0 - b) * _log_utility_win_branch(s, 1.0 - p, kind, k) + b * keep
-    best_a = np.argmax(u_a, axis=2)
-    best_b = np.argmax(u_b, axis=2)
-    take = np.take_along_axis
-    ua_best = take(u_a, best_a[:, :, None], axis=2)[:, :, 0]
-    ub_best = take(u_b, best_b[:, :, None], axis=2)[:, :, 0]
-    stake_a = s_grid[best_a]
-    stake_b = s_grid[best_b]
+    stake_a = s_grid[np.argmax(u_a, axis=2)]
+    stake_b = s_grid[np.argmax(u_b, axis=2)]
     p2 = prices[:, None]
-    return np.where(ua_best >= ub_best, stake_a / p2, -stake_b / (1.0 - p2))
+    return np.where(u_a.max(axis=2) >= u_b.max(axis=2), stake_a / p2, -stake_b / (1.0 - p2))
 
 
 def _merge_accepted(prices: np.ndarray, accepted: np.ndarray) -> list[tuple[float, float]]:
