@@ -36,7 +36,7 @@ from jurymarkets.cli import (
     ConfigError, Table, _config_beliefs, _csv_text, _write_output, load_config,
 )
 from jurymarkets.markets import (
-    BracketingError, UndefinedPriceError, _asymptotic_log_ratio, _check_k,
+    BracketingError, UndefinedPriceError, _asymptotic_log_ratios, _check_k,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     asym_price = taxed_equilibrium_asymptotic(b)
-    log_ratios = [_asymptotic_log_ratio(belief, asym_price) for belief in b.b]
+    log_ratios = _asymptotic_log_ratios(b.b, asym_price)
 
     prices, gaps, strategy_gaps, iterations = [], [], [], []
     for k in grid:

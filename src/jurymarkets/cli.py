@@ -56,7 +56,7 @@ from .markets import (
     BracketingError,
     MarketKind,
     UndefinedPriceError,
-    _asymptotic_log_ratio,
+    _asymptotic_log_ratios,
     solve_market,
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
@@ -633,7 +633,7 @@ def cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     beliefs = _config_beliefs(cfg)
     asymptotic_price = taxed_equilibrium_asymptotic(beliefs)
     # k times each agent's taxed_best_response_asymptotic stake, divided by each k.
-    log_ratios = [_asymptotic_log_ratio(b, asymptotic_price) for b in beliefs.b]
+    log_ratios = _asymptotic_log_ratios(beliefs.b, asymptotic_price)
 
     # One block of rows per k; the agent and belief texts serve every block.
     agent = Cells(map(str, range(beliefs.n)))

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, expm1, fsum, log, log1p
+from math import exp, expm1, fsum, isfinite, log, log1p
 from sys import float_info
 
 import numpy as np
@@ -388,20 +388,25 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
     _check_price(p)
     _check_belief(b)
     _check_k(k)
-    return SideInvestment(_asymptotic_log_ratio(b, p) / k)
+    return SideInvestment(_asymptotic_log_ratios((b,), p)[0] / k)
 
 
-def _asymptotic_log_ratio(b: float, p: float) -> float:
-    """k times the asymptotic taxed stake: the signed log odds ratio of b to p.
+def _asymptotic_log_ratios(beliefs: Sequence[float], p: float) -> list[float]:
+    """k times each asymptotic taxed stake: the signed log odds ratio of b to p.
 
     One log of the ratio that is at least 1, negated for a B-staker, so the
-    two sides mirror each other bit for bit.
+    two sides mirror each other bit for bit.  Where that ratio overflows,
+    which takes a belief or price near 0, the log is the difference of the
+    two log-odds instead.
     """
-    if b > p:
-        return log((1.0 - p) / p * b / (1.0 - b))
-    if b < p:
-        return -log(p / (1.0 - p) * (1.0 - b) / b)
-    return 0.0
+    against, odds = (1.0 - p) / p, p / (1.0 - p)
+    ratios = [
+        log(against * b / (1.0 - b)) if b > p else -log(odds * (1.0 - b) / b) if b < p else 0.0
+        for b in beliefs
+    ]
+    if all(map(isfinite, ratios)):
+        return ratios
+    return [r if isfinite(r) else log(b / (1.0 - b)) - log(odds) for r, b in zip(ratios, beliefs)]
 
 
 def _result(
@@ -606,7 +611,10 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
     0.5, so binarised decisions agree.
     """
     mean_log_odds = fsum(log(bi / (1.0 - bi)) for bi in b.b) / b.n
-    return 1.0 / (1.0 + exp(-mean_log_odds))
+    try:
+        return 1.0 / (1.0 + exp(-mean_log_odds))
+    except OverflowError:  # beliefs near 0, where the logistic is exp(mean_log_odds) to rounding
+        return exp(mean_log_odds)
 
 
 def market_price(b: BeliefProfile, kind: MarketKind, k: float | None) -> float:

@@ -566,6 +566,123 @@ class TestSweepCommand:
         assert abs(float(price) - 0.7) < 1e-8
 
 
+# The ends of the valid ranges: a belief lies in [5e-324, 1 - 2**-53] and a
+# competence in [the double after 0.5, 1 - 2**-53].
+BELIEF_RANGE = (5e-324, 1.0 - 2.0**-53)
+COMPETENCE_RANGE = (math.nextafter(0.5, 1.0), 1.0 - 2.0**-53)
+MARKETS = ("naive", "kelly", "taxed_finite", "taxed_asymptotic")
+SCHEMES = ("egalitarian", "linear", "log_odds")
+
+
+def extreme_panel(rng: random.Random, n: int, low: float, high: float) -> list[float]:
+    """n values in [low, high]: uniform, or most of them near one end and the
+    rest near the other, at distances log-uniform down to the end itself."""
+    if rng.random() < 0.2:
+        return [rng.uniform(low, high) for _ in range(n)]
+    floor = math.log10(min(math.ulp(low), math.ulp(high)))
+    scale, near_low = rng.uniform(floor, -0.4), rng.random() < 0.5
+    values = []
+    for _ in range(n):
+        gap = 10.0 ** min(scale + rng.uniform(-3.0, 3.0), -0.4)
+        value = low + gap if near_low ^ (rng.random() < 0.2) else high - gap
+        values.append(min(max(value, low), high))
+    return values
+
+
+def extreme_k(rng: random.Random) -> float:
+    """A normal float: the smallest, the largest, or log-uniform between them."""
+    if rng.random() < 0.1:
+        return rng.choice((sys.float_info.min, sys.float_info.max))
+    return 10.0 ** rng.uniform(-307.6, 308.2)
+
+
+def extreme_call(rng: random.Random, command: str) -> tuple[dict, list[str]]:
+    """A valid config for ``command`` and the flags that follow ``--config``."""
+    n = rng.randint(1, 4 if command == "verify" else 6)
+    if command in ("check-equivalence", "accuracy") or rng.random() < 0.5:
+        agents = [{"competence": q} for q in extreme_panel(rng, n, *COMPETENCE_RANGE)]
+        data = {"agents": agents, "signals": [rng.choice("AB") for _ in range(n)]}
+        schemes = SCHEMES
+    else:
+        data = {"agents": [{"belief": b} for b in extreme_panel(rng, n, *BELIEF_RANGE)]}
+        schemes = ("egalitarian",)
+    flags, market = [], None
+    if command == "solve":
+        market = rng.choice(MARKETS)
+    elif command == "vote" and rng.random() < 0.7:
+        flags += ["--weights", rng.choice(schemes)]
+    elif command == "check-equivalence":
+        flags += ["--exhaustive"] * (rng.random() < 0.5)
+        if rng.random() < 0.5:
+            flags += ["--k", repr(extreme_k(rng))]
+    elif command == "accuracy":
+        market = rng.choice(MARKETS + (None,))
+        flags += ["--weights", rng.choice(SCHEMES)] if rng.random() < 0.5 else []
+        if rng.random() < 0.5:
+            flags += ["--trials", str(rng.randint(1, 300)), "--seed", str(rng.randrange(2**64))]
+    elif command == "sweep-k":
+        flags += ["--k-list", ",".join(repr(extreme_k(rng)) for _ in range(rng.randint(1, 3)))]
+    elif command == "verify":
+        market = rng.choice(("naive", "kelly", "taxed_finite", None))
+    flags += ["--market", market] if market else []
+    if market == "taxed_finite" or (command == "verify" and not market and rng.random() < 0.5):
+        flags += ["--k", repr(extreme_k(rng))]
+    return data, flags + ["--format", rng.choice(COMMANDS[command].formats)]
+
+
+def assert_finite_limits(command: str, flags: list[str], out: str) -> None:
+    """The k -> infinity price lies inside (0, 1), and each k -> infinity strategy
+    is finite wherever a stake of 800 / k is: k times it is a log-odds
+    difference, at most about 781 in size."""
+    if command == "sweep-k":
+        for row in csv.DictReader(io.StringIO(out)):
+            assert 0.0 < float(row["asymptotic_price"]) < 1.0, row
+            strategy = float(row["asymptotic_strategy"])
+            assert math.isfinite(strategy) or 800.0 / float(row["k"]) == math.inf, row
+    elif command == "solve" and "taxed_asymptotic" in flags:
+        if "csv" in flags:
+            prices = [float(row["price"]) for row in csv.DictReader(io.StringIO(out))]
+        else:
+            prices = [json.loads(out)["price"]]
+        assert all(0.0 < price < 1.0 for price in prices), prices
+
+
+class TestExtremeConfigs:
+    """Seeded valid configs at the ends of every range, through main in this process."""
+
+    # Beliefs near 0 once overflowed the k -> infinity price or strategy.
+    BY_HAND = {
+        "solve": [({"agents": [{"belief": 5e-324}]}, ["--market", "taxed_asymptotic"])],
+        "sweep-k": [
+            ({"agents": [{"belief": 5e-324}]}, ["--k-list", "1"]),
+            ({"agents": [{"belief": 5e-324}] + [{"belief": 1.0 - 2.0**-53}] * 20},
+             ["--k-list", "1"]),
+        ],
+    }
+    CALLS = {
+        "solve": 200, "vote": 200, "check-equivalence": 200, "accuracy": 200, "sweep-k": 200,
+        "verify": 8,  # each runs the grid oracle
+    }
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_every_call_ends_in_an_exit_code(self, command, tmp_path, capsys):
+        rng = random.Random(f"extreme {command}")
+        by_hand = self.BY_HAND.get(command, [])
+        seeded = [extreme_call(rng, command) for _ in range(self.CALLS[command])]
+        config = tmp_path / "config.json"
+        for i, (data, flags) in enumerate(by_hand + seeded):
+            config.write_text(json.dumps(data))
+            argv = [command, "--config", str(config), *flags]
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{data} {flags}: {exc!r}")
+            out, _ = capsys.readouterr()
+            assert code in ((0,) if i < len(by_hand) else (0, 1, 2, 3)), (data, flags)
+            if code == 0:
+                assert_finite_limits(command, flags, out)
+
+
 AGENT_BOUNDS = {"competence": (0.5, "0.5"), "belief": (0.0, "0")}
 
 
@@ -673,6 +790,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=None) as excinfo:
             parse_config(data)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prior", 0.6), ("prior", True), ("prior", "0.5"), ("endowment", 2),
+         ("endowment", True), ("endowment", None)],
+    )
+    def test_fixed_values_reject_with_the_whole_message(self, field, value):
+        fixed = {"prior": "0.5", "endowment": "1"}[field]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(dict(self.base(), **{field: value}))
+        assert str(excinfo.value) == (
+            f"{field}={value!r} is not supported; the model fixes {field}={fixed}"
+        )
 
     OBJECT = "must be an object with exactly one of 'competence' or 'belief'"
     MIX = "agents mix 'competence' and 'belief' entries; use one kind throughout"

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import sys
 import warnings
-from math import copysign, fsum, isclose, log
+from math import copysign, exp, fsum, isclose, isfinite, log
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,9 @@ from jurymarkets import (
     taxed_utility,
 )
 from conftest import random_beliefs
+
+# Every belief a profile accepts, from the smallest subnormal to 1 - 2**-53.
+VALID_BELIEF = st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53)
 
 interior = st.floats(min_value=0.02, max_value=0.98)
 belief_lists = st.lists(
@@ -511,6 +515,31 @@ class TestTaxedEquilibrium:
         assert taxed_equilibrium_asymptotic(BeliefProfile((0.8, 0.2))) == pytest.approx(
             0.5, abs=1e-15
         )
+
+    @given(st.lists(VALID_BELIEF, min_size=1, max_size=8), VALID_BELIEF)
+    @example([5e-324], 0.5)
+    @example([0.5], 1e-310)
+    @example([5e-324] + [1.0 - 2.0**-53] * 20, 0.5)
+    def test_asymptotic_limits_stay_finite(self, beliefs, p):
+        # The one-log forms below overflow for beliefs or prices near 0;
+        # where they do not, the limits keep their bits.
+        def one_log_ratio(b: float, p: float) -> float:
+            if b > p:
+                return log((1.0 - p) / p * b / (1.0 - b))
+            return -log(p / (1.0 - p) * (1.0 - b) / b) if b < p else 0.0
+
+        price = taxed_equilibrium_asymptotic(BeliefProfile(beliefs))
+        assert 0.0 < price < 1.0
+        mean_log_odds = fsum(log(b / (1.0 - b)) for b in beliefs) / len(beliefs)
+        with contextlib.suppress(OverflowError):  # exp overflows when every belief is near 0
+            assert price == 1.0 / (1.0 + exp(-mean_log_odds))
+        for q in (price, p):
+            stakes = [taxed_best_response_asymptotic(b, q, 1.0).stake for b in beliefs]
+            assert stakes == markets._asymptotic_log_ratios(beliefs, q)
+            for b, stake in zip(beliefs, stakes):
+                assert isfinite(stake)
+                if isfinite(one_log_ratio(b, q)):
+                    assert stake == one_log_ratio(b, q)
 
     def test_finite_solver_clears_the_books(self, example1):
         _, _, beliefs = example1

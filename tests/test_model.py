@@ -74,6 +74,27 @@ class TestPosterior:
         assert posterior_belief(q, STATE_A) + posterior_belief(q, STATE_B) == pytest.approx(1.0)
 
 
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.sampled_from(STATES))
+    def test_posterior_is_a_panel_of_one(self, q, y):
+        batch = beliefs_from_signals(CompetenceProfile((q,)), SignalProfile((y,))).b[0]
+        expected = q if y == STATE_A else 1.0 - q
+        assert posterior_belief(q, y).hex() == batch.hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "q, y, message",
+        [
+            (0.4, STATE_A, "competence q[0]=0.4 must lie strictly between 0.5 and 1"),
+            (1.0, STATE_B, "competence q[0]=1.0 must lie strictly between 0.5 and 1"),
+            (0.7, "C", "signal y[0]='C' must be 'A' or 'B'"),
+        ],
+    )
+    def test_posterior_errors_name_index_0(self, q, y, message):
+        with pytest.raises(ValueError) as excinfo:
+            posterior_belief(q, y)
+        assert str(excinfo.value) == message
+
+
 class TestBinarize:
     """The decisions a binarised vote, margin or price maps to."""
 

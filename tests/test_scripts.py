@@ -82,6 +82,14 @@ def test_bad_input_is_one_error_line(tmp_path, script, config, args):
     assert_one_error_line(result)
 
 
+def test_output_file_holds_the_golden_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    result = run_script("tax_convergence.py", "--output", str(path))
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b""
+    assert path.read_bytes() == (GOLDEN / "tax_convergence.csv").read_bytes()
+
+
 def test_unwritable_output_is_one_error_line(tmp_path):
     result = run_script("tax_convergence.py", "--output", str(tmp_path / "missing" / "out.csv"))
     assert_one_error_line(result)
@@ -94,4 +102,14 @@ def test_failed_solve_is_one_solver_error_line(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"agents": [{"belief": 1e-20}, {"belief": 0.4}]}))
     result = run_script("tax_convergence.py", "--config", str(path), "--k-grid", "1e-4")
+    assert_one_error_line(result, status=2, prefix=b"solver error: ")
+
+
+def test_beliefs_near_zero_reach_the_finite_solves(tmp_path):
+    # A belief of 5e-324 once overflowed the k -> infinity price.  The run now
+    # reaches the finite solves, which raise: this B-staker's optimum lies
+    # past the stake bracket's top, the largest double below 1.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"agents": [{"belief": 5e-324}]}))
+    result = run_script("tax_convergence.py", "--config", str(path))
     assert_one_error_line(result, status=2, prefix=b"solver error: ")
