@@ -392,7 +392,8 @@ def taxed_best_response_asymptotic(b: float, p: float, k: float) -> SideInvestme
 
 
 def _asymptotic_log_ratios(beliefs: Sequence[float], p: float) -> list[float]:
-    """k times each asymptotic taxed stake: the signed log odds ratio of b to p.
+    """k times each asymptotic taxed stake: the signed log odds ratio of each
+    belief b to the price p.
 
     One log of the ratio that is at least 1, negated for a B-staker, so the
     two sides mirror each other bit for bit.  Where that ratio overflows,
@@ -404,7 +405,7 @@ def _asymptotic_log_ratios(beliefs: Sequence[float], p: float) -> list[float]:
         log(against * b / (1.0 - b)) if b > p else -log(odds * (1.0 - b) / b) if b < p else 0.0
         for b in beliefs
     ]
-    if all(map(isfinite, ratios)):
+    if isfinite(sum(ratios)):  # each finite ratio is below 800 in size, so no sum overflows
         return ratios
     return [r if isfinite(r) else log(b / (1.0 - b)) - log(odds) for r, b in zip(ratios, beliefs)]
 
