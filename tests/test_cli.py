@@ -30,6 +30,7 @@ from jurymarkets import (
 )
 from jurymarkets.cli import (
     COMMANDS,
+    MARKET_KINDS,
     Cells,
     ConfigError,
     Table,
@@ -38,6 +39,7 @@ from jurymarkets.cli import (
     main,
     parse_config,
 )
+from jurymarkets.equivalence import WEIGHT_SCHEMES
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -570,8 +572,7 @@ class TestSweepCommand:
 # competence in [the double after 0.5, 1 - 2**-53].
 BELIEF_RANGE = (5e-324, 1.0 - 2.0**-53)
 COMPETENCE_RANGE = (math.nextafter(0.5, 1.0), 1.0 - 2.0**-53)
-MARKETS = ("naive", "kelly", "taxed_finite", "taxed_asymptotic")
-SCHEMES = ("egalitarian", "linear", "log_odds")
+SCHEMES = tuple(WEIGHT_SCHEMES)
 
 
 def extreme_panel(rng: random.Random, n: int, low: float, high: float) -> list[float]:
@@ -608,7 +609,7 @@ def extreme_call(rng: random.Random, command: str) -> tuple[dict, list[str]]:
         schemes = ("egalitarian",)
     flags, market = [], None
     if command == "solve":
-        market = rng.choice(MARKETS)
+        market = rng.choice(MARKET_KINDS)
     elif command == "vote" and rng.random() < 0.7:
         flags += ["--weights", rng.choice(schemes)]
     elif command == "check-equivalence":
@@ -616,7 +617,7 @@ def extreme_call(rng: random.Random, command: str) -> tuple[dict, list[str]]:
         if rng.random() < 0.5:
             flags += ["--k", repr(extreme_k(rng))]
     elif command == "accuracy":
-        market = rng.choice(MARKETS + (None,))
+        market = rng.choice(MARKET_KINDS + (None,))
         flags += ["--weights", rng.choice(SCHEMES)] if rng.random() < 0.5 else []
         if rng.random() < 0.5:
             flags += ["--trials", str(rng.randint(1, 300)), "--seed", str(rng.randrange(2**64))]
