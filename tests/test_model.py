@@ -73,7 +73,6 @@ class TestPosterior:
     def test_posteriors_complementary(self, q):
         assert posterior_belief(q, STATE_A) + posterior_belief(q, STATE_B) == pytest.approx(1.0)
 
-
     @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
            st.sampled_from(STATES))
     def test_posterior_is_a_panel_of_one(self, q, y):
