@@ -26,14 +26,12 @@ from jurymarkets import (
     naive_equilibrium,
     taxed_equilibrium_finite,
 )
-from jurymarkets.cli import _config_beliefs, _require_competences, _require_signals, load_config
-from jurymarkets.markets import _check_k
+from jurymarkets.cli import (
+    _config_beliefs, _parse_k, _require_competences, _require_signals, load_config,
+)
 
 REPO = Path(__file__).resolve().parents[1]
-DEFAULT_CONFIGS = (
-    REPO / "configs" / "example1.json",
-    REPO / "configs" / "example2.json",
-)
+DEFAULT_CONFIGS = tuple(str(REPO / "configs" / f"example{i}.json") for i in (1, 2))
 
 
 def _stakes(label: str, result) -> str:
@@ -88,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--config",
         action="append",
-        type=Path,
         help="experiment config (repeatable; defaults to the bundled examples)",
     )
     parser.add_argument(
@@ -96,22 +93,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Every input is checked before anything is printed.
+    # Every input is checked before anything is printed, by the CLI's rules.
     panels = []
     try:
-        _check_k(args.k)
+        k = _parse_k(args.k)
         for path in args.config or DEFAULT_CONFIGS:
-            cfg = load_config(str(path))
-            q = _require_competences(cfg, str(path))
-            y = _require_signals(cfg, str(path))
+            cfg = load_config(path)
+            q = _require_competences(cfg, path)
+            y = _require_signals(cfg, path)
             panels.append((path, q, y, _config_beliefs(cfg)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     for path, q, y, b in panels:
-        print(f"=== {path.name} ===")
-        report(q, y, b, args.k)
+        print(f"=== {Path(path).name} ===")
+        report(q, y, b, k)
         print()
     return 0
 

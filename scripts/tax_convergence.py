@@ -33,11 +33,9 @@ import numpy as np
 
 from jurymarkets import taxed_equilibrium_asymptotic, taxed_equilibrium_finite
 from jurymarkets.cli import (
-    ConfigError, Table, _config_beliefs, _csv_text, _write_output, load_config,
+    Table, _config_beliefs, _csv_text, _parse_k_list, _write_output, load_config,
 )
-from jurymarkets.markets import (
-    BracketingError, UndefinedPriceError, _asymptotic_log_ratios, _check_k,
-)
+from jurymarkets.markets import BracketingError, UndefinedPriceError, _asymptotic_log_ratios
 
 REPO = Path(__file__).resolve().parents[1]
 COLUMNS = (
@@ -48,37 +46,27 @@ COLUMNS = (
     "max_strategy_gap",
     "iterations",
 )
-
-
-def _parse_grid(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return tuple(float(k) for k in np.logspace(-2, 4, 13))
-    try:
-        grid = tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--k-grid {text!r} is not a comma-separated list of reals") from exc
-    for k in grid:
-        _check_k(k)
-    return grid
+DEFAULT_GRID = tuple(float(k) for k in np.logspace(-2, 4, 13))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
-        type=Path,
-        default=REPO / "configs" / "example1.json",
+        default=str(REPO / "configs" / "example1.json"),
         help="experiment config supplying competences and signals",
     )
     parser.add_argument(
         "--k-grid", help="comma-separated tax rates (default: log grid 0.01..10^4)"
     )
-    parser.add_argument("--output", type=Path, help="write CSV here instead of stdout")
+    parser.add_argument("--output", help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
+    # Each flag follows the CLI's rule: load_config checks --output as it does
+    # the CLI's, and --k-grid reads as sweep-k's --k-list.
     try:
-        b = _config_beliefs(load_config(str(args.config)))
-        grid = _parse_grid(args.k_grid)
+        b = _config_beliefs(load_config(args.config, args))
+        grid = DEFAULT_GRID if args.k_grid is None else _parse_k_list(args.k_grid, "--k-grid")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -100,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         iterations.append(result.diagnostics.iterations)
 
     table = Table(COLUMNS, [(grid, prices, asym_price, gaps, strategy_gaps, iterations)])
-    status = _write_output(_csv_text(table), args.output and str(args.output))
+    status = _write_output(_csv_text(table), args.output)
     if status:
         return status
 

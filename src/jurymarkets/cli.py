@@ -42,7 +42,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from sys import float_info
-from typing import Callable, Iterable
+from typing import Callable
 
 from .accuracy import (
     EXACT_MAX_AGENTS,
@@ -172,6 +172,13 @@ def _is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _parse_k(k: object) -> float:
+    """A tax intensity, as a config field or a flag gives it: a normal positive double."""
+    if not _is_real(k) or not float_info.min <= k <= float_info.max:
+        raise ConfigError(f"k={k!r} must be a finite positive number >= {float_info.min!r}")
+    return float(k)
+
+
 def parse_config(
     data: dict,
     overrides: argparse.Namespace | None = None,
@@ -230,9 +237,7 @@ def parse_config(
 
     k = pick("k")
     if k is not None:
-        if not _is_real(k) or not float_info.min <= k <= float_info.max:
-            raise ConfigError(f"k={k!r} must be a finite positive number >= {float_info.min!r}")
-        k = float(k)
+        k = _parse_k(k)
         if market is not None and market != MarketKind.TAXED_FINITE.value:
             raise ConfigError(
                 f"k only applies to the taxed_finite market, not market={market!r}"
@@ -364,10 +369,6 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-def _json_cell(value: object) -> str:
-    return _encoder(0).encode(value)
-
-
 def _csv_cell(value: object) -> str:
     if isinstance(value, str):
         return '"' + value.replace('"', '""') + '"' if _CSV_SPECIAL.search(value) else value
@@ -426,7 +427,7 @@ def _json_table(table: Table, depth: int) -> str:
     """``json.dumps`` of the table's rows as a list of objects ``depth`` levels deep."""
     inner = "\n" + "  " * (depth + 1)
     keys = [f"{inner}  {encode_basestring_ascii(name)}: " for name in table.names]
-    objects = _lines(table, _json_cell, ["{" + keys[0]] + ["," + k for k in keys[1:]],
+    objects = _lines(table, _encoder(0).encode, ["{" + keys[0]] + ["," + k for k in keys[1:]],
                      inner + "}")
     if not objects:
         return "[]"
@@ -445,18 +446,12 @@ def _csv_text(table: Table) -> str:
     return "\n".join(lines)
 
 
-def _only_scalars(items: Iterable) -> bool:
-    return not any(issubclass(t, _NESTED) for t in set(map(type, items)))
-
-
 def _json_text(value: object, depth: int = 0) -> str:
-    r"""``json.dumps(value, indent=2)``, for a value nested ``depth`` levels deep.
+    """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels deep.
 
     A Table is written as its list of row objects.  CPython encodes in C only
-    without ``indent``, so the indented layout is built from separators
-    instead: a container of scalars is one encoder call with ",\n<indent>"
-    between items, exact because the encoder escapes every newline inside a
-    string.  Other containers recurse.
+    without ``indent``, so a scalar or an empty container is one encoder call
+    and every other container recurses, one item per line.
     """
     if isinstance(value, Table):
         return _json_table(value, depth)
@@ -465,9 +460,6 @@ def _json_text(value: object, depth: int = 0) -> str:
         return encoder.encode(value)
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
-    if _only_scalars(value.values() if isinstance(value, dict) else value):
-        text = encoder.encode(value)
-        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):  # keep json's key coercions
             return json.dumps(value, indent=2).replace("\n", outer)
@@ -616,15 +608,16 @@ def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     return EXIT_OK, {"command": "accuracy", "estimates": table}, table
 
 
-def _parse_k_list(text: str | None) -> tuple[float, ...]:
+def _parse_k_list(text: str | None, flag: str = "--k-list") -> tuple[float, ...]:
+    """The tax intensities of a comma-separated ``flag`` value; empty items are skipped."""
     if text is None:
         return DEFAULT_K_SWEEP
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"--k-list {text!r} is not a comma-separated list of reals") from exc
+        raise ConfigError(f"{flag} {text!r} is not a comma-separated list of reals") from exc
     if not values or any(not float_info.min <= v <= float_info.max for v in values):
-        raise ConfigError(f"--k-list {text!r} needs finite positive reals >= {float_info.min!r}")
+        raise ConfigError(f"{flag} {text!r} needs finite positive reals >= {float_info.min!r}")
     return values
 
 

@@ -175,6 +175,25 @@ class TestGoldenOutputs:
                 ), f"no golden pins {name} --format {fmt}"
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``jurymarkets ...`` line in README's "Command line" block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("jurymarkets ")]
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_is_shown(self):
+        assert {argv[0] for argv in readme_commands()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_exits_0(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO)  # the config paths are relative to the checkout
+        target = tmp_path / "out"
+        assert main([*argv, "--output", str(target)]) == 0
+        assert target.read_bytes()
+
+
 class TestDeterminism:
     def test_sweep_k_reruns_byte_identical(self):
         first = run_cli("sweep-k", "--config", str(EXAMPLE_1), "--k-list", "0.5,5")
@@ -1045,7 +1064,7 @@ class TestEmitters:
         if kind == 4:
             return [self.scalar(rng) for _ in range(rng.randrange(5))]
         # lists of flat objects, like the agents, reports and estimates lists;
-        # kind 6 may hold an empty object, which takes the general path
+        # kind 6 may hold an empty object
         least = 1 if kind == 5 else 0
         return [
             {rng.choice(self.STRINGS + ("sA",)): self.scalar(rng)

@@ -557,6 +557,38 @@ class TestTaxedEquilibrium:
         price = taxed_equilibrium_finite(beliefs, 1e-4).price
         assert abs(price - kelly_equilibrium(beliefs).price) < 1e-3
 
+    @staticmethod
+    def quantity_limit_price(b: tuple[float, ...]) -> float:
+        """The finite solver's k -> inf price, by bisection: at large k each
+        stake is (L_i - L_p)/k in log-odds L, so the books clear where
+        (1-p)·Σ_{L_i>L_p} (L_i - L_p) = p·Σ_{L_i<L_p} (L_p - L_i)."""
+        logits = [log(x / (1.0 - x)) for x in b]
+
+        def excess(p: float) -> float:
+            lp = log(p / (1.0 - p))
+            above = fsum(max(x - lp, 0.0) for x in logits)
+            return (1.0 - p) * above - p * fsum(max(lp - x, 0.0) for x in logits)
+
+        lo, hi = min(b), max(b)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        return mid
+
+    def test_finite_price_converges_to_its_quantity_limit(self):
+        # Criterion 6's profiles.  Its closed-form k -> inf price balances stake
+        # log-odds, a different limit; against the solver's own limit the gap
+        # shrinks with k.
+        rng = np.random.default_rng(600)
+        for _ in range(50):
+            b = tuple(float(x) for x in rng.uniform(0.05, 0.95, int(rng.integers(2, 7))))
+            limit = self.quantity_limit_price(b)
+            gaps = [
+                abs(taxed_equilibrium_finite(BeliefProfile(b), k).price - limit)
+                for k in (10.0, 100.0, 1000.0)
+            ]
+            assert gaps[0] >= gaps[1] >= gaps[2], (b, gaps)
+            assert gaps[2] < 2e-4, (b, gaps)
+
     def test_stakes_shrink_with_k(self, example1):
         _, _, beliefs = example1
         totals = [
@@ -731,6 +763,19 @@ class TestTaxedSolverContract:
         _, _, beliefs = example1
         result = self.assert_certified_or_raised(list(beliefs.b), 1e308)
         assert result is not None and result.price > 0.5
+
+    @pytest.mark.xfail(strict=True, raises=BracketingError, reason="ROADMAP item P")
+    @pytest.mark.parametrize(
+        "beliefs, k",
+        [(b, k) for b in ((1e-20, 0.9), (1e-17, 0.6, 0.7), (0.3, 1e-300)) for k in (1e-3, 10.0)]
+        + [((1.0 - 1e-10, 1.0 - 1e-11, 1.0 - 1e-12), k) for k in (1e-6, 1.0, 10.0, 1e3)],
+    )
+    def test_every_valid_panel_prices(self, beliefs, k):
+        # The first three panels: a B-staker's mirrored belief 1 - b rounds to
+        # 1, so the stake bracket's top shows no sign change.  The last: its
+        # price lies past the price bracket's top, 1 - 1e-9.
+        result = taxed_equilibrium_finite(BeliefProfile(beliefs), k)
+        assert all(-1.0 <= s <= 1.0 for s in result.stakes)
 
     @pytest.mark.parametrize("k", HUGE_TAX_RATES)
     def test_huge_k_solves_ordinary_panels(self, k):

@@ -1,8 +1,11 @@
-"""The bundled scripts: stdout pinned byte for byte against goldens, and
-bad input ending in one error line rather than a traceback."""
+"""The bundled scripts: stdout pinned byte for byte against goldens, bad
+input ending in one error line rather than a traceback, and each flag read by
+the rule the CLI applies to the same input."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,6 +16,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
+EXAMPLE_1 = "configs/example1.json"  # relative to REPO, the working directory of every run
 # The checkout's package comes first, so the scripts run it without an install.
 ENV = dict(
     os.environ,
@@ -26,6 +30,12 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         cwd=REPO,
         env=ENV,
+    )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "jurymarkets.cli", *args], capture_output=True, cwd=REPO, env=ENV
     )
 
 
@@ -113,3 +123,53 @@ def test_beliefs_near_zero_reach_the_finite_solves(tmp_path):
     path.write_text(json.dumps({"agents": [{"belief": 5e-324}]}))
     result = run_script("tax_convergence.py", "--config", str(path))
     assert_one_error_line(result, status=2, prefix=b"solver error: ")
+
+
+@pytest.mark.parametrize(
+    "script, args, cli_args",
+    [
+        ("tax_convergence.py", ("--config", ""), ("sweep-k", "--config", "")),
+        ("run_worked_examples.py", ("--config", ""), ("sweep-k", "--config", "")),
+        ("tax_convergence.py", ("--output", ""),
+         ("sweep-k", "--config", EXAMPLE_1, "--output", "")),
+        ("run_worked_examples.py", ("--k", "nan"), ("solve", "--config", EXAMPLE_1, "--k", "nan")),
+    ],
+    ids=["convergence-empty-config", "worked-empty-config", "convergence-empty-output",
+         "worked-nan-k"],
+)
+def test_flags_fail_as_the_cli_does(script, args, cli_args):
+    # An empty path is rejected as given, not read as ".".
+    result = run_script(script, *args)
+    assert_one_error_line(result)
+    assert result.stderr == run_cli(*cli_args).stderr
+
+
+@pytest.mark.parametrize(
+    "text", ["1,,10", " ", "abc", "nan", "1,inf", "5e-324", "0.5,5", "1e308", ",2,", "-1"]
+)
+def test_k_grid_reads_as_k_list(text):
+    script = run_script("tax_convergence.py", "--k-grid", text)
+    cli = run_cli("sweep-k", "--config", EXAMPLE_1, "--k-list", text)
+    assert (script.returncode == 1) == (cli.returncode == 1), (script.stderr, cli.stderr)
+    if cli.returncode == 1:
+        assert script.stderr == cli.stderr.replace(b"--k-list", b"--k-grid")
+
+
+def test_convergence_reads_sweep_k():
+    # The script's prices are sweep-k's, cell for cell, and its strategy gap
+    # is the largest gap in sweep-k's rows at each k.
+    grid = "0.5,5,50"
+    script = run_script("tax_convergence.py", "--k-grid", grid)
+    sweep = run_cli("sweep-k", "--config", EXAMPLE_1, "--k-list", grid)
+    assert script.returncode == sweep.returncode == 0, (script.stderr, sweep.stderr)
+    rows = list(csv.DictReader(io.StringIO(sweep.stdout.decode())))
+    summary = list(csv.DictReader(io.StringIO(script.stdout.decode())))
+    assert [row["k"] for row in summary] == ["0.5", "5.0", "50.0"]
+    for row in summary:
+        at_k = [r for r in rows if r["k"] == row["k"]]
+        assert at_k
+        assert {(r["price"], r["asymptotic_price"]) for r in at_k} == {
+            (row["finite_price"], row["asymptotic_price"])
+        }
+        gap = max(abs(float(r["strategy"]) - float(r["asymptotic_strategy"])) for r in at_k)
+        assert float(row["max_strategy_gap"]) == gap
