@@ -13,9 +13,10 @@ which is what the decision-level equivalence needs.
 
 The asymptotic strategies are the ones ``sweep-k`` prints: one log odds
 ratio per agent, divided by each k.  The CSV goes through the CLI's writer,
-to stdout or ``--output``.  A tax rate that fails to solve ends the run
-before any CSV is written, with one ``solver error: ...`` line on stderr and
-exit status 2, as the CLI's ``solve`` does.
+to ``--output``, else to the config's ``output``, else to stdout.  A tax
+rate that fails to solve ends the run before any CSV is written, with one
+``solver error: ...`` line on stderr and exit status 2, as the CLI's
+``solve`` does.
 
     python scripts/tax_convergence.py
     python scripts/tax_convergence.py --config configs/example2.json \
@@ -59,13 +60,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--k-grid", help="comma-separated tax rates (default: log grid 0.01..10^4)"
     )
-    parser.add_argument("--output", help="write CSV here instead of stdout")
+    parser.add_argument(
+        "--output", help="write CSV here (default: the config's output, else stdout)"
+    )
     args = parser.parse_args(argv)
 
-    # Each flag follows the CLI's rule: load_config checks --output as it does
-    # the CLI's, and --k-grid reads as sweep-k's --k-list.
+    # Each flag follows the CLI's rule: load_config picks --output over the
+    # config's output and checks it as the CLI does, and --k-grid reads as
+    # sweep-k's --k-list.
     try:
-        b = _config_beliefs(load_config(args.config, args))
+        cfg = load_config(args.config, args)
+        b = _config_beliefs(cfg)
         grid = DEFAULT_GRID if args.k_grid is None else _parse_k_list(args.k_grid, "--k-grid")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -88,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         iterations.append(result.diagnostics.iterations)
 
     table = Table(COLUMNS, [(grid, prices, asym_price, gaps, strategy_gaps, iterations)])
-    status = _write_output(_csv_text(table), args.output)
+    status = _write_output(_csv_text(table), cfg.output)
     if status:
         return status
 

@@ -20,9 +20,11 @@ format and writes the bytes.  The JSON bytes are exactly those of
 module's writer with ``None`` empty and booleans as ``true``/``false``.
 Per-row output is a ``Table`` of named columns: each column is formatted at
 C level, a float by one ``repr`` and any other value once per distinct
-value, and each row is one ``str.join`` of its cells; the rest of a JSON
-record goes through the C encoder.  The argument parser is built once per
-process.
+value, and each row is one ``str.join`` of its cells.  A JSON list of
+scalars (vote's ``weights`` and ``votes``, each of verify's ``intervals``)
+is formatted as one such column, and every JSON container is one join of
+its items' lines; only scalars and empty containers reach the C encoder.
+The argument parser is built once per process.
 
 Exit codes: 0 success; 1 invalid config or arguments, a format the command
 does not emit, or an output file that cannot be opened or written
@@ -359,14 +361,15 @@ class Table:
 _COLUMN = (list, tuple)
 _NESTED = (dict, list, tuple, Table)
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# A column of these types alone is formatted once per distinct value: equal
+# values of them print alike, as 1 and True, 0.0 and -0.0 or (1,) and (True,)
+# do not.
+_MEMOISED = frozenset((str, bool, type(None)))
 # The csv module's QUOTE_MINIMAL with a "\n" line terminator quotes exactly these.
 _CSV_SPECIAL = re.compile('[,"\n]')
-
-
-@cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """A C-accelerated encoder whose item separator is indent=2's at ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+# A scalar or an empty container prints the same at any depth, so one C encoder
+# serves them all.
+_encode = json.JSONEncoder().encode
 
 
 def _csv_cell(value: object) -> str:
@@ -390,9 +393,7 @@ def _texts(column: list | tuple, cell: Callable[[object], str]) -> list[str]:
             return texts
     elif kinds == {int}:
         return list(map(int.__repr__, column))
-    elif float not in kinds and not {bool, int} <= kinds:
-        # Equal values of the other types print alike; 1 == True and
-        # 0.0 == -0.0 do not, hence the exclusions.
+    elif kinds <= _MEMOISED:
         memo = {value: cell(value) for value in set(column)}
         return list(map(memo.__getitem__, column))
     return list(map(cell, column))
@@ -423,19 +424,6 @@ def _lines(
     return lines
 
 
-def _json_table(table: Table, depth: int) -> str:
-    """``json.dumps`` of the table's rows as a list of objects ``depth`` levels deep."""
-    inner = "\n" + "  " * (depth + 1)
-    keys = [f"{inner}  {encode_basestring_ascii(name)}: " for name in table.names]
-    objects = _lines(table, _encoder(0).encode, ["{" + keys[0]] + ["," + k for k in keys[1:]],
-                     inner + "}")
-    if not objects:
-        return "[]"
-    objects[0] = "[" + inner + objects[0]
-    objects[-1] += "\n" + "  " * depth + "]"
-    return ("," + inner).join(objects)
-
-
 def _csv_text(table: Table) -> str:
     """The csv module's bytes for the header and the rows, one "\\n" after each."""
     lines = _lines(table, _csv_cell, [""] + [","] * (len(table.names) - 1))
@@ -449,30 +437,34 @@ def _csv_text(table: Table) -> str:
 def _json_text(value: object, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels deep.
 
-    A Table is written as its list of row objects.  CPython encodes in C only
-    without ``indent``, so a scalar or an empty container is one encoder call
-    and every other container recurses, one item per line.
+    A Table is written as its list of row objects, and ``Cells`` as its texts.
+    CPython encodes in C only without ``indent``, so a scalar or an empty
+    container is one encoder call, and every other container is one join of
+    its items' texts, one per line: a Table's rows from ``_lines``, a list's
+    items from ``_texts`` as one column, an object's values one call each.
     """
-    if isinstance(value, Table):
-        return _json_table(value, depth)
-    encoder = _encoder(depth)
     if not isinstance(value, _NESTED) or not value:
-        return encoder.encode(value)
+        return _encode(value)
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):  # keep json's key coercions
             return json.dumps(value, indent=2).replace("\n", outer)
         pieces = ["{"]
-        for key, v in value.items():
-            pieces += (inner, encoder.encode(key), ": ", _json_text(v, depth + 1), ",")
+        for key, item in value.items():
+            pieces += (inner, _encode(key), ": ", _json_text(item, depth + 1), ",")
         pieces[-1] = outer + "}"
-    else:
-        pieces = ["["]
-        for v in value:
-            pieces += (inner, _json_text(v, depth + 1), ",")
-        pieces[-1] = outer + "]"
-    return "".join(pieces)
+        return "".join(pieces)
+    if isinstance(value, Table):
+        keys = [f"{inner}  {encode_basestring_ascii(name)}: " for name in value.names]
+        items = _lines(value, _encode, ["{" + keys[0]] + ["," + k for k in keys[1:]], inner + "}")
+        if not items:
+            return "[]"
+    else:  # a copy, because a Cells column is the caller's own list
+        items = list(_texts(value, lambda item: _json_text(item, depth + 1)))
+    items[0] = "[" + inner + items[0]
+    items[-1] += outer + "]"
+    return ("," + inner).join(items)
 
 
 def _fields(records: list, *names: str) -> tuple[list, ...]:

@@ -79,6 +79,17 @@ class TestBatchDecide:
             rows = [int(agg.decide(q, signals[r : r + 1])[0]) for r in range(len(signals))]
             assert decisions.tolist() == rows, agg.name
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item J")
+    def test_near_tie_decision_is_scale_free(self):
+        # weighted_majority's near tie, decided as a batch: the margin is
+        # 1e-12 * 2^e, and the absolute tie band reads it as scale-dependent.
+        signals = np.array([[True, False]])
+        decisions = {
+            int(_majority_decisions(signals, WeightProfile(((1 + 2e-12) * 2.0**e, 2.0**e)))[0])
+            for e in range(-3, 4)
+        }
+        assert len(decisions) == 1, decisions
+
     def test_blocked_margins_decide_as_per_row_fsum(self, monkeypatch):
         # Weights come in pairs (a_j, a_j + d_j).  A planted row votes A for
         # exactly one of each pair, so its exact margin is half a signed sum

@@ -28,6 +28,7 @@ from jurymarkets import (
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
 )
+from jurymarkets import cli
 from jurymarkets.cli import (
     COMMANDS,
     MARKET_KINDS,
@@ -1174,3 +1175,48 @@ class TestEmitters:
             assert (code, captured.out, captured.err) == (
                 separate.returncode, separate.stdout.decode(), separate.stderr.decode()
             ), argv
+
+
+class TestJsonColumns:
+    """A JSON list is formatted as one column, as a table's columns are, so its
+    items cost no Python call each."""
+
+    def test_equal_values_keep_their_own_texts(self):
+        # np.float64 zeros are equal and hash alike, so a text memoised per
+        # distinct value would print -0.0 as 0.0.
+        column = [np.float64(0.0), np.float64(-0.0)]
+        table = Table(("x",), [(column,)])
+        assert _json_text(column) == json.dumps(column, indent=2)
+        assert _json_text(table) == json.dumps([{"x": 0.0}, {"x": -0.0}], indent=2)
+        assert _csv_text(table) == "x\n0.0\n-0.0\n"
+
+    def test_scalar_lists_take_a_few_calls(self, monkeypatch):
+        rng = random.Random(27)
+        record = {
+            "floats": [rng.uniform(-1e6, 1e6) for _ in range(10_000)],
+            "ints": [rng.randrange(-(10**6), 10**6) for _ in range(10_000)],
+            "bools": [rng.random() < 0.5 for _ in range(10_000)],
+        }
+        writer, calls = cli._json_text, []
+
+        def counted(value: object, depth: int = 0) -> str:
+            calls.append(depth)
+            return writer(value, depth)
+
+        monkeypatch.setattr(cli, "_json_text", counted)
+        assert cli._json_text(record) == json.dumps(record, indent=2)
+        assert len(calls) < 10, len(calls)
+
+    def test_large_vote_record(self, tmp_path, capsys):
+        rng = random.Random(28)
+        n = 10_000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "agents": [{"competence": rng.uniform(0.51, 0.99)} for _ in range(n)],
+            "signals": [rng.choice("AB") for _ in range(n)],
+        }))
+        assert main(["vote", "--config", str(path), "--weights", "log_odds"]) == 0
+        out = capsys.readouterr().out
+        record = json.loads(out)
+        assert len(record["weights"]) == len(record["votes"]) == n
+        assert out == json.dumps(record, indent=2) + "\n"

@@ -100,6 +100,23 @@ def test_output_file_holds_the_golden_bytes(tmp_path):
     assert path.read_bytes() == (GOLDEN / "tax_convergence.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag", [False, True], ids=["config-output", "flag-over-config"])
+def test_config_output_holds_the_golden_bytes(tmp_path, flag):
+    # As in the CLI, --output wins, then the config's output, then stdout.
+    from_config, from_flag = tmp_path / "from_config.csv", tmp_path / "from_flag.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        json.loads((REPO / EXAMPLE_1).read_text()) | {"output": str(from_config)}
+    ))
+    args = ("--output", str(from_flag)) if flag else ()
+    result = run_script("tax_convergence.py", "--config", str(config), *args)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b""
+    written, unwritten = (from_flag, from_config) if flag else (from_config, from_flag)
+    assert written.read_bytes() == (GOLDEN / "tax_convergence.csv").read_bytes()
+    assert not unwritten.exists()
+
+
 def test_unwritable_output_is_one_error_line(tmp_path):
     result = run_script("tax_convergence.py", "--output", str(tmp_path / "missing" / "out.csv"))
     assert_one_error_line(result)

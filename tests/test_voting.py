@@ -107,6 +107,18 @@ class TestMajority:
         assert weighted_margin(votes, weights) != 0.0
         assert weighted_majority(votes, weights) is Decision.TIE
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item J")
+    def test_near_tie_decision_is_scale_free(self):
+        # The margin is 1e-12 * 2^e: the absolute tie band reads a tie for
+        # e <= 0 and A for e >= 1, although scaling the weights by a power of
+        # two changes no comparison.
+        votes = VotingProfile((1, 0))
+        decisions = {
+            weighted_majority(votes, WeightProfile(((1 + 2e-12) * 2.0**e, 2.0**e)))
+            for e in range(-3, 4)
+        }
+        assert len(decisions) == 1, decisions
+
     def test_single_expert_outvotes_low_weights(self):
         votes = VotingProfile((1, 0, 0, 0))
         weights = WeightProfile((0.7, 0.2, 0.2, 0.2))
