@@ -11,7 +11,6 @@ agreement table, and the exact accuracy of each weight scheme.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from jurymarkets import (
     taxed_equilibrium_finite,
 )
 from jurymarkets.cli import (
-    _config_beliefs, _parse_k, _require_competences, _require_signals, load_config,
+    _config_beliefs, _parse_k, _Parser, _require_competences, _require_signals, load_config,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -82,7 +81,7 @@ def report(q: CompetenceProfile, y: SignalProfile, b: BeliefProfile, k: float) -
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument(
         "--config",
         action="append",

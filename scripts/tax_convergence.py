@@ -25,7 +25,6 @@ rate that fails to solve ends the run before any CSV is written, with one
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -34,7 +33,7 @@ import numpy as np
 
 from jurymarkets import taxed_equilibrium_asymptotic, taxed_equilibrium_finite
 from jurymarkets.cli import (
-    Table, _config_beliefs, _csv_text, _parse_k_list, _write_output, load_config,
+    Table, _config_beliefs, _csv_text, _parse_k_list, _Parser, _write_output, load_config,
 )
 from jurymarkets.markets import BracketingError, UndefinedPriceError, _asymptotic_log_ratios
 
@@ -51,7 +50,7 @@ DEFAULT_GRID = tuple(float(k) for k in np.logspace(-2, 4, 13))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument(
         "--config",
         default=str(REPO / "configs" / "example1.json"),

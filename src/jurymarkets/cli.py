@@ -10,10 +10,11 @@ Subcommands, with the output formats each emits (the first is the default):
 * ``verify``            — independent grid-oracle cross-check of the solvers (JSON, CSV)
 
 Experiments are described by a JSON config file (agents as competences or
-beliefs, optional signals, market kind, weight scheme, seed, trials);
-command-line flags override config fields.  Output is deterministic JSON
-or CSV — identical inputs produce byte-identical bytes — written to stdout
-or ``--output``.  ``COMMANDS`` is the one table of subcommands: every handler
+beliefs, optional signals, market kind, weight scheme, seed, trials); the
+flags a subcommand takes override config fields.  Output is deterministic
+JSON or CSV — identical inputs produce byte-identical bytes — written to
+stdout or ``--output``.  ``COMMANDS`` is the one table of subcommands, with
+the flags each one reads, spelled in full, from ``FLAGS``: every handler
 returns its status, JSON record and CSV table, and ``main`` alone picks the
 format and writes the bytes.  The JSON bytes are exactly those of
 ``json.dumps(record, indent=2)`` and the CSV bytes those of the ``csv``
@@ -38,7 +39,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -691,38 +692,48 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
 # The command table, argument parsing and the one emitter
 
 
+# Each flag's add_argument options; build_parser adds those each COMMANDS row takes.
+FLAGS: dict[str, dict] = {
+    "--config": dict(required=True, help="path to a JSON experiment config"),
+    "--market": dict(choices=MARKET_KINDS, help="override the config's market"),
+    "--weights": dict(choices=tuple(WEIGHT_SCHEMES), help="override the config's weight scheme"),
+    "--k": dict(type=float, help="tax intensity of the taxed_finite market (check-equivalence "
+                "prices its log-odds pairing there; verify without --market checks it too)"),
+    "--trials": dict(type=int, help="Monte Carlo trial count"),
+    "--seed": dict(type=int, help="random seed"),
+    "--exhaustive": dict(action="store_true",
+                         help="sweep all 2^n signal profiles instead of the configured one"),
+    "--k-list": dict(help="comma-separated tax intensities "
+                     f"(default {','.join(str(k) for k in DEFAULT_K_SWEEP)})"),
+    "--format": dict(choices=("json", "csv"), help="output format"),
+    "--output": dict(help="write output to this path instead of stdout"),
+}
+
+
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: handler, help text, formats (first is the default), extra flags."""
+    """One subcommand: handler, help text, the flags it takes besides --config,
+    --format and --output, and formats (the first is the default)."""
 
     handler: Callable[[ExperimentConfig, argparse.Namespace], Output]
     help: str
+    flags: tuple[str, ...]
     formats: tuple[str, ...] = ("json", "csv")
-    flags: dict[str, dict] = field(default_factory=dict)  # flag -> add_argument options
 
 
 COMMANDS: dict[str, Command] = {
-    "solve": Command(cmd_solve, "solve a market for its competitive-equilibrium price"),
-    "vote": Command(cmd_vote, "run a weighted-majority election on binarised beliefs"),
-    "check-equivalence": Command(
-        cmd_check_equivalence,
-        "compare election and market decisions",
-        flags={"--exhaustive": dict(
-            action="store_true",
-            help="sweep all 2^n signal profiles instead of the configured one",
-        )},
-    ),
-    "accuracy": Command(cmd_accuracy, "estimate truth-tracking accuracy"),
-    "sweep-k": Command(
-        cmd_sweep_k,
-        "sweep the tax intensity and emit convergence data",
-        formats=("csv",),
-        flags={"--k-list": dict(
-            help="comma-separated tax intensities "
-            f"(default {','.join(str(k) for k in DEFAULT_K_SWEEP)})",
-        )},
-    ),
-    "verify": Command(cmd_verify, "cross-check solvers against the brute-force grid oracle"),
+    "solve": Command(cmd_solve, "solve a market for its competitive-equilibrium price",
+                     ("--market", "--k")),
+    "vote": Command(cmd_vote, "run a weighted-majority election on binarised beliefs",
+                    ("--weights",)),
+    "check-equivalence": Command(cmd_check_equivalence, "compare election and market decisions",
+                                 ("--k", "--exhaustive")),
+    "accuracy": Command(cmd_accuracy, "estimate truth-tracking accuracy",
+                        ("--market", "--weights", "--k", "--trials", "--seed")),
+    "sweep-k": Command(cmd_sweep_k, "sweep the tax intensity and emit convergence data",
+                       ("--k-list",), formats=("csv",)),
+    "verify": Command(cmd_verify, "cross-check solvers against the brute-force grid oracle",
+                      ("--market", "--k")),
 }
 
 
@@ -749,32 +760,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--market", choices=MARKET_KINDS, help="override the config's market")
-    parser.add_argument(
-        "--weights", choices=tuple(WEIGHT_SCHEMES), help="override the config's weight scheme"
-    )
-    parser.add_argument("--k", type=float, help="tax intensity (taxed_finite only)")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format")
-    parser.add_argument("--output", help="write output to this path instead of stdout")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="jurymarkets",
         description="Weighted-majority elections and information-market equilibria.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        _add_shared_flags(p)
-        for flag, options in command.flags.items():
-            p.add_argument(flag, **options)
+        # Flags are spelled in full, so sweep-k reads --k as unknown, not as --k-list.
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in ("--config", *command.flags, "--format", "--output"):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 

@@ -31,6 +31,7 @@ from jurymarkets import (
 from jurymarkets import cli
 from jurymarkets.cli import (
     COMMANDS,
+    FLAGS,
     MARKET_KINDS,
     Cells,
     ConfigError,
@@ -1033,6 +1034,101 @@ class TestFlagOverrides:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["decision"] == "B"
+
+
+# Every subcommand takes these besides the flags its COMMANDS row names.
+ALWAYS_TAKEN = ("--config", "--format", "--output")
+# Two values of each flag of FLAGS (False and True: absent and present).  An
+# --output path is relative to the working directory, and the second one's
+# directory is missing.
+FLAG_VALUES = {
+    "--config": (str(EXAMPLE_1), str(EXAMPLE_2)),
+    "--market": ("naive", "kelly"),
+    "--weights": ("linear", "log_odds"),
+    "--k": ("1", "10"),
+    "--trials": ("100", "200"),
+    "--seed": ("1", "2"),
+    "--exhaustive": (False, True),
+    "--k-list": ("1", "10"),
+    "--format": ("json", "csv"),
+    "--output": ("out", "missing/out"),
+}
+# The other flags a call needs, per subcommand and per (subcommand, flag),
+# for the flag it varies to matter.  verify names a market, so that it runs
+# one grid oracle, not two; the examples' naive prices are both 0.4.
+NEEDS = {
+    "solve": {"--market": "kelly"},
+    "verify": {"--market": "naive"},
+    ("solve", "--k"): {"--market": "taxed_finite"},
+    ("verify", "--config"): {"--market": "kelly"},
+    ("verify", "--k"): {"--market": "taxed_finite"},
+    ("accuracy", "--k"): {"--market": "taxed_finite"},
+    ("accuracy", "--seed"): {"--trials": "100"},
+}
+
+
+def flag_args(flag: str, value: str | bool) -> list[str]:
+    return [flag] if value is True else [] if value is False else [flag, value]
+
+
+def flag_argv(command: str, flag: str, value: str | bool) -> list[str]:
+    """A call of ``command`` on example 2 that passes ``flag`` at ``value``."""
+    args = {"--config": str(EXAMPLE_2), **NEEDS.get(command, {}), **NEEDS.get((command, flag), {})}
+    args[flag] = value
+    return [command, *(arg for item in args.items() for arg in flag_args(*item))]
+
+
+def taken(command: str) -> tuple[str, ...]:
+    return (*ALWAYS_TAKEN, *COMMANDS[command].flags)
+
+
+TAKEN = [(name, flag) for name in COMMANDS for flag in taken(name)]
+UNTAKEN = [(name, flag) for name in COMMANDS for flag in FLAGS if flag not in taken(name)]
+PREFIXES = [
+    (name, flag, flag[:end])
+    for name in COMMANDS
+    for flag in taken(name)
+    for end in range(3, len(flag))
+    if flag[:end] not in taken(name)
+]
+
+
+class TestFlagTable:
+    """Each subcommand takes the flags of its COMMANDS row and the three every
+    subcommand takes, spelled in full, and reads each one it takes."""
+
+    def test_each_flag_is_taken_once_per_row_and_by_some_row(self):
+        for name in COMMANDS:
+            assert len(set(taken(name))) == len(taken(name)), name
+        assert {flag for _, flag in TAKEN} == set(FLAGS)
+
+    def assert_unrecognized(self, argv: list[str], capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (1, ""), argv
+        assert "unrecognized arguments" in err, (argv, err)
+
+    @pytest.mark.parametrize("command, flag", UNTAKEN, ids=map(" ".join, UNTAKEN))
+    def test_untaken_flag_is_rejected(self, command, flag, capsys):
+        self.assert_unrecognized(flag_argv(command, flag, FLAG_VALUES[flag][1]), capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag, prefix", PREFIXES, ids=[f"{c} {p}" for c, _, p in PREFIXES]
+    )
+    def test_prefix_of_a_flag_is_rejected(self, command, flag, prefix, capsys):
+        # The prefix comes after a valid call, so it alone can be at fault.
+        value = FLAG_VALUES[flag][1]
+        self.assert_unrecognized(flag_argv(command, flag, value) + flag_args(prefix, value), capsys)
+
+    @pytest.mark.parametrize("command, flag", TAKEN, ids=map(" ".join, TAKEN))
+    def test_taken_flag_is_read(self, command, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for value in FLAG_VALUES[flag]:
+            code = main(flag_argv(command, flag, value))
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] != runs[1], (command, flag)
 
 
 class TestEmitters:

@@ -92,6 +92,26 @@ def test_bad_input_is_one_error_line(tmp_path, script, config, args):
     assert_one_error_line(result)
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("tax_convergence.py", ("--k", "5")),
+        ("tax_convergence.py", ("--k-g", "5")),
+        ("tax_convergence.py", ("--out", os.devnull)),
+        ("tax_convergence.py", ("--conf", EXAMPLE_1)),
+        ("run_worked_examples.py", ("--conf", EXAMPLE_1)),
+    ],
+    ids=["convergence-k", "convergence-k-g", "convergence-out", "convergence-conf", "worked-conf"],
+)
+def test_abbreviated_flag_is_rejected(script, args):
+    # Flags are spelled in full, so --k is not read as --k-grid.
+    result = run_script(script, *args)
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert b"error: unrecognized arguments: " + " ".join(args).encode() in result.stderr
+
+
 def test_output_file_holds_the_golden_bytes(tmp_path):
     path = tmp_path / "out.csv"
     result = run_script("tax_convergence.py", "--output", str(path))
