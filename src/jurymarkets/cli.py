@@ -580,6 +580,10 @@ def cmd_check_equivalence(cfg: ExperimentConfig, args: argparse.Namespace) -> Ou
 
 def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
     q = _require_competences(cfg, "accuracy")
+    if args.seed is not None and cfg.trials is None:
+        raise ConfigError("--seed only applies to Monte Carlo accuracy; pass --trials too")
+    if args.k is not None and cfg.market is None:
+        raise ConfigError("--k only applies to a market's accuracy; pass --market too")
     schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEMES)
     aggregators = [majority_aggregator(s) for s in schemes]
     if cfg.market is not None:

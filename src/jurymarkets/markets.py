@@ -42,15 +42,14 @@ import numpy as np
 
 from .model import BeliefProfile
 
-# Root-finding controls for the taxed model.  The outer loop runs Brent's
-# method (inverse quadratic interpolation safeguarded by bisection) on the
-# excess demand for securities and stops once its sign-change bracket around
-# the price is at most PRICE_TOLERANCE wide.  The inner loop runs Newton's
-# method on every agent's first-order condition and stops once a sign change
-# certifies each stake to within RESPONSE_TOLERANCE times itself.  A loop
-# that runs out of iterations raises BracketingError instead of returning an
-# uncertified answer.
-PRICE_BRACKET_EPS = 1e-9
+# Root-finding controls for the taxed model.  The outer loop runs Newton's
+# method on the excess demand for securities, safeguarded by bisection, from
+# the Kelly price, and stops once two of its probes of opposite sign lie at
+# most PRICE_TOLERANCE apart; every probe counts as one outer iteration.  The
+# inner loop runs Newton's method on every agent's first-order condition and
+# stops once a sign change certifies each stake to within RESPONSE_TOLERANCE
+# times itself.  A loop that runs out of iterations raises BracketingError
+# instead of returning an uncertified answer.
 PRICE_TOLERANCE = 1e-12
 RESPONSE_TOLERANCE = 1e-12
 MAX_PRICE_PROBES = 100
@@ -93,9 +92,9 @@ class Diagnostics:
     stakes.  ``residual`` is the imbalance in security quantities,
     (1/p) * sum(sA) - (1/(1-p)) * sum(sB); ``degenerate`` marks markets with
     no trade on some side, where that ratio is not defined.  The taxed
-    solver also reports its price probes as ``iterations``, its Newton steps
-    summed over those probes as ``inner_iterations``, and the width of the
-    final sign-change bracket around the price as ``price_bracket_width``.
+    solver also reports every price probe as ``iterations``, its Newton steps
+    summed over those probes as ``inner_iterations``, and the distance between
+    the two probes that ended the search as ``price_bracket_width``.
     """
 
     iterations: int = 0
@@ -508,6 +507,15 @@ def kelly_equilibrium(b: BeliefProfile) -> EquilibriumResult:
     return _result([_kelly_signed(bi, price) for bi in b.b], price, MarketKind.KELLY)
 
 
+def _price_slopes(s: np.ndarray, b: np.ndarray, p: np.ndarray | float, k: float) -> np.ndarray:
+    """Each agent's share of -G'(p), G being what the taxed price search
+    zeroes: s + (1-b) e^(ks) / ((1-p) (k b (1-s) + 1)) for stake s, belief b
+    and price p on her side (B through the mirror).  Implicit differentiation
+    of h(s) = 0 (see _taxed_stakes_signed) gives the A-stake's slope in the
+    price, ds/dp = -(1-b) / ((1-p)^2 e^(-ks) (k b (1-s) + 1))."""
+    return s + (1.0 - b) * np.exp(k * s) / ((1.0 - p) * (k * b * (1.0 - s) + 1.0))
+
+
 def taxed_equilibrium_finite(
     b: BeliefProfile,
     k: float,
@@ -516,87 +524,75 @@ def taxed_equilibrium_finite(
 ) -> EquilibriumResult:
     """Competitive equilibrium of the taxed market at a finite intensity k.
 
-    The excess demand for securities, D(p) = (1/p) * sum of A-stakes -
-    (1/(1-p)) * sum of B-stakes, is searched in the scaled form
-    p (1-p) D(p) = (1-p) * sum of A-stakes - p * sum of B-stakes, which has
-    the same sign but no 1/p blow-up at the ends of [eps, 1-eps].  Its sign
-    change across that bracket is verified, and then Brent's method (Brent
-    1973, as in brentq) runs: inverse quadratic interpolation, falling back
-    to bisection whenever that would not shrink the bracket fast enough.
-    Where the interpolation's terms leave the normal float range, as they
-    can for k beyond about 1e100, the secant step stands in for it.
-    The search stops once the sign-change bracket around the returned price
-    is at most price_tol wide, plus four ulps of the price.  Each probe
-    solves every agent's stake by certified Newton steps to the relative
-    tolerance response_tol (see _taxed_stakes_signed); the returned stakes
-    are those solved at the returned price.  Raises BracketingError when
-    either loop runs out of iterations.
+    The search zeroes G(p) = (1-p) * sum of A-stakes - p * sum of B-stakes,
+    p (1-p) times the excess demand for securities without its blow-up near
+    0 and 1.  G > 0 below the smallest belief and G <= 0 from the largest
+    up, so those two bracket the price.  Newton steps on G, whose slope each
+    probe reads off its stakes (_price_slopes), start at the Kelly price.  A
+    step that would leave the bracket or not halve the step before last (as
+    in rtsafe, Numerical Recipes) bisects instead, and one shorter than half
+    the tolerance becomes a nudge of half the tolerance towards the price,
+    after which the search bisects unless the nudge crossed it.  It stops
+    once a probe with G > 0 and one with G <= 0 lie at most price_tol plus
+    four ulps of the price apart, and returns the one with the smaller |G|
+    with its stakes, certified to the relative tolerance response_tol (see
+    _taxed_stakes_signed).  iterations counts every probe.  Raises
+    BracketingError when either loop runs out of iterations.
     """
     _check_k(k)
     beliefs = np.array(b.b, dtype=float)
+    complement = 1.0 - beliefs
     newton_steps = 0
 
-    def probe(p: float) -> tuple[float, float, np.ndarray]:
+    def probe(p: float) -> tuple[float, float, float, np.ndarray]:
+        """p, G(p), -G'(p) and the signed stakes at p."""
         nonlocal newton_steps
         signed, steps = _taxed_stakes_signed(beliefs, p, k, response_tol)
         newton_steps += steps
-        scaled = np.where(signed > 0.0, signed * (1.0 - p), signed * p)
-        return p, float(fsum(scaled.tolist())), signed
+        on_a = signed > 0.0
+        scaled = np.where(on_a, signed * (1.0 - p), signed * p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = _price_slopes(
+                np.abs(signed), np.where(on_a, beliefs, complement), np.where(on_a, p, 1.0 - p), k
+            ).sum()
+        return p, fsum(scaled.tolist()), float(slope), signed
 
-    lo = probe(PRICE_BRACKET_EPS)
-    hi = probe(1.0 - PRICE_BRACKET_EPS)
-    if not (lo[1] > 0.0 > hi[1]):
+    # G > 0 below lo and G <= 0 at hi, which move to the latest probe of each
+    # sign, low and high; older is the step before the last one.
+    lo, hi = float(beliefs.min()), float(beliefs.max())
+    low = high = None
+    x = min(max(_kelly_price(b), lo), hi)
+    older = last = hi - lo
+    nudged = False
+    for iterations in range(1, MAX_PRICE_PROBES + 1):
+        _, f, slope, _ = cur = probe(x)
+        if f > 0.0:
+            lo, low = x, cur
+        else:
+            hi, high = x, cur
+        if low is not None and high is not None:
+            best = min(low, high, key=lambda c: abs(c[1]))
+            if abs(high[0] - low[0]) <= price_tol + ROUNDING_ULPS * best[0]:
+                break
+        nudge = 0.5 * (price_tol + ROUNDING_ULPS * x)
+        step = f / slope if slope > 0.0 else float("inf")
+        if nudged or not (abs(step) < nudge or lo < x + step < hi and 2 * abs(step) <= abs(older)):
+            step = 0.5 * (lo + hi) - x
+        nudged = abs(step) < nudge
+        if nudged:  # towards the price, short of hi and of 0
+            step = min(nudge, hi - x) if f > 0.0 else max(-nudge, -0.5 * x)
+        older, last = last, step
+        x += step
+    else:
         raise BracketingError(
-            "excess security demand does not change sign on "
-            f"[{lo[0]}, {hi[0]}]: p(1-p)D is {lo[1]!r} at lo and {hi[1]!r} at hi"
+            f"taxed price not bracketed to {price_tol!r} after {MAX_PRICE_PROBES} "
+            f"probes: [{lo!r}, {hi!r}]"
         )
 
-    # cur is the best probe so far, far the opposite end of its sign-change
-    # bracket, prev the probe before cur; step and prev_step are the last two
-    # moves of cur.
-    prev, cur, far = lo, hi, lo
-    step = prev_step = hi[0] - lo[0]
-    for iterations in range(MAX_PRICE_PROBES + 1):
-        if (prev[1] > 0.0) != (cur[1] > 0.0):
-            far = prev
-            step = prev_step = cur[0] - prev[0]
-        if abs(far[1]) < abs(cur[1]):
-            prev, cur, far = cur, far, cur
-        x, f = cur[0], cur[1]
-        delta = 0.5 * (price_tol + ROUNDING_ULPS * x)
-        half = 0.5 * (far[0] - x)
-        if f == 0.0 or abs(half) <= delta:
-            break
-        if iterations == MAX_PRICE_PROBES:
-            raise BracketingError(
-                f"taxed price not bracketed to {price_tol!r} after {MAX_PRICE_PROBES} "
-                f"probes: [{min(x, far[0])!r}, {max(x, far[0])!r}]"
-            )
-        trial = None
-        if abs(prev_step) > delta and abs(f) < abs(prev[1]):
-            if prev[0] != far[0]:  # inverse quadratic interpolation
-                d_prev = (prev[1] - f) / (prev[0] - x)
-                d_far = (far[1] - f) / (far[0] - x)
-                numerator = -f * (far[1] * d_far - prev[1] * d_prev)
-                denominator = d_far * d_prev * (far[1] - prev[1])
-                # Both scale like f^3, so past k of about 1e100 they can lose
-                # their digits below the normal range or underflow to 0.
-                if min(abs(numerator), abs(denominator)) >= float_info.min:
-                    trial = numerator / denominator
-            if trial is None:  # secant
-                trial = -f * (x - prev[0]) / (f - prev[1])
-        if trial is not None and 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
-            prev_step, step = step, trial
-        else:
-            prev_step = step = half
-        prev = cur
-        cur = probe(x + (step if abs(step) > delta else (delta if half > 0.0 else -delta)))
-
-    price, _, signed = cur
-    width = 0.0 if cur[1] == 0.0 else abs(far[0] - price)
+    price, _, _, signed = best
     return _result(
         signed.tolist(), price, MarketKind.TAXED_FINITE, iterations, k,
-        inner_iterations=newton_steps, price_bracket_width=width,
+        inner_iterations=newton_steps, price_bracket_width=abs(high[0] - low[0]),
     )
 
 
@@ -621,7 +617,7 @@ def taxed_equilibrium_asymptotic(b: BeliefProfile) -> float:
 def market_price(b: BeliefProfile, kind: MarketKind, k: float | None) -> float:
     """The clearing price solve_market(b, kind, k) reports, bit for bit, with
     no stakes built for the three closed-form kinds; the finite taxed price
-    is solved as in solve_market (its Brent search needs the stakes), and
+    is solved as in solve_market (its price search needs the stakes), and
     raises as it does."""
     if kind is MarketKind.NAIVE:
         return _naive_crossing(b)[2]
@@ -656,16 +652,14 @@ def taxed_half_price_weights(q: np.ndarray, k: float) -> np.ndarray:
 
     For competences q, the market of a signal profile has G(1/2) = (sum of w
     over A-signal agents) - (sum of w) / 2, where G(p) = (1-p) * sum of
-    A-stakes - p * sum of B-stakes is what the solver's Brent search zeroes
+    A-stakes - p * sum of B-stakes is what the solver's price search zeroes
     (a B-signal agent stakes on B what an A-signal agent stakes on A).
-    Implicit differentiation of the first-order condition gives
-    S = -G'(1/2) = sum of w + 2 (1-q) e^(kw) / (k q (1-w) + 1), so
-    p* - 1/2 = G(1/2) / S to first order, and w is returned times n / S.
-    As k -> 0, w -> 2q - 1 and S -> n.
+    Every agent's share of S = -G'(1/2) is w + 2 (1-q) e^(kw) / (k q (1-w) + 1)
+    (see _price_slopes), so p* - 1/2 = G(1/2) / S to first order, and w is
+    returned times n / S.  As k -> 0, w -> 2q - 1 and S -> n.
     """
     w = _taxed_stakes_signed(q, 0.5, k)[0]
-    slope = fsum((w + 2.0 * (1.0 - q) * np.exp(k * w) / (k * q * (1.0 - w) + 1.0)).tolist())
-    return w * (q.size / slope)
+    return w * (q.size / fsum(_price_slopes(w, q, 0.5, k).tolist()))
 
 
 def full_investment_equivalence(b: float, p: float) -> tuple[float, float]:

@@ -531,6 +531,15 @@ class TestCheckEquivalenceCommand:
             assert main([*argv, "--output", str(output)]) == 0
             assert output.read_bytes() == stdout, name
 
+    def test_exhaustive_taxed_check_prices_competences_near_one(self, tmp_path, capsys):
+        # The unanimous profiles' prices lie within 1e-9 of 0 and of 1.
+        config = tmp_path / "near_one.json"
+        config.write_text(json.dumps({"agents": [{"competence": 1.0 - 1e-10}] * 3}))
+        argv = ["check-equivalence", "--config", str(config), "--exhaustive", "--k", "10"]
+        assert main(argv) == 0, capsys.readouterr().err
+        record = json.loads(capsys.readouterr().out)
+        assert record["violations"] == 0 and len(record["reports"]) == 3 * 2**3
+
 
 class TestSweepCommand:
     def test_rejects_json_format(self):
@@ -1034,6 +1043,13 @@ class TestFlagOverrides:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["decision"] == "B"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--k"])
+    def test_accuracy_rejects_a_flag_it_would_not_read(self, flag, capsys):
+        # Exact accuracy draws no samples, and only a market's accuracy reads k.
+        assert main(["accuracy", "--config", str(EXAMPLE_2), flag, "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
 
 
 # Every subcommand takes these besides the flags its COMMANDS row names.

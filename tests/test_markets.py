@@ -682,8 +682,8 @@ class TestTaxedSolverContract:
     an unconverged one."""
 
     TAX_RATES = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e7)
-    # Past k of about 1e100 Brent's interpolation terms and the Newton slope
-    # leave the float range.
+    # Excess demands and their slopes shrink like 1/k, and past k of about
+    # 1e154 the stake solver's Newton slope overflows.
     HUGE_TAX_RATES = (1e106, 1e150, 1e300)
 
     @pytest.mark.parametrize("n", [2, 10, 1000])
@@ -767,15 +767,21 @@ class TestTaxedSolverContract:
     @pytest.mark.xfail(strict=True, raises=BracketingError, reason="ROADMAP item P")
     @pytest.mark.parametrize(
         "beliefs, k",
-        [(b, k) for b in ((1e-20, 0.9), (1e-17, 0.6, 0.7), (0.3, 1e-300)) for k in (1e-3, 10.0)]
-        + [((1.0 - 1e-10, 1.0 - 1e-11, 1.0 - 1e-12), k) for k in (1e-6, 1.0, 10.0, 1e3)],
+        [(b, k) for b in ((1e-20, 0.9), (1e-17, 0.6, 0.7), (0.3, 1e-300)) for k in (1e-3, 10.0)],
     )
     def test_every_valid_panel_prices(self, beliefs, k):
-        # The first three panels: a B-staker's mirrored belief 1 - b rounds to
-        # 1, so the stake bracket's top shows no sign change.  The last: its
-        # price lies past the price bracket's top, 1 - 1e-9.
+        # A B-staker's mirrored belief 1 - b rounds to 1, so the stake
+        # bracket's top shows no sign change.
         result = taxed_equilibrium_finite(BeliefProfile(beliefs), k)
         assert all(-1.0 <= s <= 1.0 for s in result.stakes)
+
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 10.0, 1e3])
+    def test_competences_near_one_price(self, k):
+        # The price lies past 1 - 1e-9, where a fixed price bracket would end.
+        beliefs = [1.0 - 1e-10, 1.0 - 1e-11, 1.0 - 1e-12]
+        result = self.assert_certified_or_raised(beliefs, k)
+        assert result is not None
+        assert beliefs[0] < result.price < beliefs[-1]
 
     @pytest.mark.parametrize("k", HUGE_TAX_RATES)
     def test_huge_k_solves_ordinary_panels(self, k):
@@ -794,6 +800,60 @@ class TestTaxedSolverContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_certified_or_raised(panel, k)
+
+
+class TestTaxedPriceSearch:
+    """The price search's work, counted, and the slope its Newton steps read."""
+
+    TAX_RATES = (0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+
+    @staticmethod
+    def panels(n: int, count: int) -> list[BeliefProfile]:
+        rng = random.Random(f"price search n={n}")
+        return [BeliefProfile(tuple(rng.uniform(0.02, 0.98) for _ in range(n)))
+                for _ in range(count)]
+
+    def test_probes_and_newton_steps_per_solve(self):
+        # Counts of work, the same on every host: every probe, the first at
+        # the Kelly price included, and the stake solver's Newton steps.
+        small = [taxed_equilibrium_finite(b, k).diagnostics
+                 for b in self.panels(10, 20) for k in self.TAX_RATES]
+        large = [taxed_equilibrium_finite(b, 10.0).diagnostics for b in self.panels(1000, 4)]
+        for solves in (small, large):
+            probes = [d.iterations for d in solves]
+            assert fsum(probes) / len(probes) <= 5.0 and max(probes) <= 8, probes
+        assert fsum(d.inner_iterations for d in small) / len(small) <= 20.0
+
+    def test_price_slope_matches_a_central_difference(self):
+        rng = random.Random(29)
+
+        def stake(b: float, p: float, k: float) -> float:
+            return float(markets._taxed_stakes_signed(np.array([b]), p, k, 1e-15)[0][0])
+
+        def g(b: float, p: float, k: float) -> float:
+            s = stake(b, p, k)
+            return (1.0 - p) * s if s > 0.0 else p * s
+
+        for _ in range(300):
+            b, p = rng.uniform(1e-3, 1.0 - 1e-3), rng.uniform(1e-3, 1.0 - 1e-3)
+            if abs(b - p) < 1e-3:
+                continue
+            k = 10.0 ** rng.uniform(-6.0, 7.0)
+            h = 1e-4 * min(p, 1.0 - p, abs(b - p))
+            numeric = (g(b, p - h, k) - g(b, p + h, k)) / (2.0 * h)
+            bb, pp = (b, p) if b > p else (1.0 - b, 1.0 - p)
+            implicit = markets._price_slopes(abs(stake(b, p, k)), bb, pp, k)
+            assert implicit == pytest.approx(numeric, rel=1e-6), (b, p, k)
+
+    def test_half_price_weights_keep_their_own_slope_bits(self):
+        # S = -G'(1/2) read from _price_slopes, against its closed form at 1/2.
+        q = np.concatenate([np.linspace(0.5 + 1e-9, 1.0 - 2.0**-53, 50),
+                            1.0 - np.logspace(-16.0, -0.31, 50)])
+        for k in np.logspace(-6.0, 300.0, 154):
+            w = markets._taxed_stakes_signed(q, 0.5, k)[0]
+            terms = w + 2.0 * (1.0 - q) * np.exp(k * w) / (k * q * (1.0 - w) + 1.0)
+            slope = fsum(terms.tolist())
+            assert np.array_equal(markets.taxed_half_price_weights(q, k), w * (q.size / slope)), k
 
 
 class TestFullInvestmentEquivalence:
