@@ -35,7 +35,7 @@ import numpy as np
 
 from .equivalence import PAIRINGS, WEIGHT_SCHEMES
 from .markets import MarketKind, _check_k, taxed_half_price_weights
-from .model import STATE_A, STATE_B, CompetenceProfile, profile_probabilities, signal_matrix
+from .model import STATE_A, CompetenceProfile, profile_probabilities, signal_matrix
 from .voting import WeightProfile, decisions_from_offsets
 
 EXACT_MAX_AGENTS = 12
@@ -88,6 +88,13 @@ def _block_rows(n: int) -> int:
     return 4 * max(1, 2**20 // (32 * n))
 
 
+def _runs_of_equal_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, first): matrix[rows] sorted lexicographically; first marks each run's start."""
+    rows = np.lexsort(matrix.T[::-1])
+    ordered = matrix[rows]
+    return rows, np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+
+
 def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarray:
     """Weighted-majority decisions for every row of a signal matrix.
 
@@ -95,10 +102,10 @@ def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarr
     _block_rows rows; rows within MARGIN_RESCUE_BOUND of zero are recomputed
     with exact summation, the same fsum weighted_margin uses, before the
     shared tie band is applied.  A rescued row's A-voters are grouped by
-    distinct weight, and each distinct vector of group counts is summed
-    once: fsum rounds the exact sum, so every row with that vector gets the
-    bits its own fsum would.  The rescue makes decisions independent of the
-    float summation order, hence of the block size.
+    distinct weight, and each distinct vector of group counts (one sort finds
+    them, _runs_of_equal_rows) is summed once: fsum rounds the exact sum, so
+    every row with that vector gets the bits its own fsum would.  The rescue
+    makes decisions independent of the float summation order and block size.
     """
     w = np.array(weights.w, dtype=float)
     half_total = 0.5 * fsum(weights.w)
@@ -114,9 +121,9 @@ def _majority_decisions(signals: np.ndarray, weights: WeightProfile) -> np.ndarr
         order = np.argsort(w, kind="stable")
         values, starts = np.unique(w[order], return_index=True)
         counts = np.add.reduceat(signals[rescued][:, order], starts, axis=1, dtype=np.int64)
-        vectors, which = np.unique(counts, axis=0, return_inverse=True)
-        sums = np.array([fsum(np.repeat(values, vector).tolist()) for vector in vectors])
-        margins[rescued] = sums[which.reshape(-1)] - half_total
+        rows, first = _runs_of_equal_rows(counts)
+        sums = np.array([fsum(np.repeat(values, c).tolist()) for c in counts[rows[first]]])
+        margins[rescued[rows]] = sums[np.cumsum(first) - 1] - half_total
     return decisions_from_offsets(margins)
 
 
@@ -173,19 +180,18 @@ def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:
     """Group accuracy by exhaustive enumeration of the signal space.
 
     Every profile is decided once and both states are scored from that one
-    decision vector.  The two state-conditional accuracies are equal by the
-    model's flip-symmetry; this is asserted to 1e-12 as an internal
-    consistency check before they are averaged.
+    decision vector, state B by the state-A probabilities reversed (see
+    profile_probabilities).  The two state-conditional accuracies are equal
+    by flip-symmetry; this is asserted to 1e-12 before they are averaged.
     """
     if q.n > EXACT_MAX_AGENTS:
         raise ValueError(
             f"exact accuracy supports up to {EXACT_MAX_AGENTS} agents, got {q.n}"
         )
-    signals = signal_matrix(q.n)
-    decisions = agg.decide(q, signals)
+    decisions = agg.decide(q, signal_matrix(q.n))
+    probs_a = profile_probabilities(q, STATE_A)
     masses = []
-    for state, right in ((STATE_A, 1), (STATE_B, -1)):
-        probs = profile_probabilities(q, signals, state)
+    for probs, right in ((probs_a, 1), (probs_a[::-1], -1)):
         ties = probs[decisions == 0]
         hits = np.concatenate((probs[decisions == right], 0.5 * ties))
         masses.append((fsum(hits.tolist()), fsum(ties.tolist())))

@@ -241,7 +241,8 @@ def parse_config(
     k = pick("k")
     if k is not None:
         k = _parse_k(k)
-        if market is not None and market != MarketKind.TAXED_FINITE.value:
+        reads_market = overrides is None or hasattr(overrides, "market")  # takes --market
+        if reads_market and market not in (None, MarketKind.TAXED_FINITE.value):
             raise ConfigError(
                 f"k only applies to the taxed_finite market, not market={market!r}"
             )

@@ -535,9 +535,9 @@ def taxed_equilibrium_finite(
     after which the search bisects unless the nudge crossed it.  It stops
     once a probe with G > 0 and one with G <= 0 lie at most price_tol plus
     four ulps of the price apart, and returns the one with the smaller |G|
-    with its stakes, certified to the relative tolerance response_tol (see
-    _taxed_stakes_signed).  iterations counts every probe.  Raises
-    BracketingError when either loop runs out of iterations.
+    with its stakes, certified to the relative tolerance response_tol
+    (_taxed_stakes_signed); iterations counts every probe.  BracketingError
+    is raised when a loop runs out of iterations or a step cannot move the probe.
     """
     _check_k(k)
     beliefs = np.array(b.b, dtype=float)
@@ -581,6 +581,8 @@ def taxed_equilibrium_finite(
         nudged = abs(step) < nudge
         if nudged:  # towards the price, short of hi and of 0
             step = min(nudge, hi - x) if f > 0.0 else max(-nudge, -0.5 * x)
+        if x + step == x:  # the bracket holds no other double to probe
+            raise BracketingError(f"taxed price probe cannot move off {x!r} in [{lo!r}, {hi!r}]")
         older, last = last, step
         x += step
     else:

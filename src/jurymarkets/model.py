@@ -126,27 +126,27 @@ def beliefs_from_signals(q: CompetenceProfile, y: SignalProfile) -> BeliefProfil
 def signal_matrix(n: int) -> np.ndarray:
     """All 2**n signal profiles of n agents as a boolean matrix, True for A.
 
-    Rows run in lexicographic order with A before B: row r spells out the
-    binary digits of r, first agent most significant, with 0 read as A.
-    Accuracy, enumeration and the exhaustive check take their profile order
-    from here; the accuracy oracle keeps its own on purpose.
+    Rows run in lexicographic order with A before B: row r unpacks the last
+    n bits of r, first agent most significant, and reads 0 as A.  Accuracy,
+    enumeration and the exhaustive check take their profile order from here;
+    the accuracy oracle keeps its own on purpose.
     """
-    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)
-    return (bits & 1) == 0
+    rows = np.arange(2**n, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(rows, axis=1)[:, 32 - n :] == 0
 
 
-def profile_probabilities(
-    q: CompetenceProfile, signals: np.ndarray, state: str
-) -> np.ndarray:
-    """Probability of each row of a boolean signal matrix under the given state.
+def profile_probabilities(q: CompetenceProfile, state: str) -> np.ndarray:
+    """Probability of each row of signal_matrix(q.n) under the given state.
 
-    Factors are multiplied agent by agent, left to right, so each entry is
-    the same double as a scalar running product over the profile.
+    The state-A vector doubles agent by agent, p <- outer(p, (q_i, 1 - q_i)),
+    so each entry is the same double as a left-to-right running product.
+    Row r under B has the factors of row 2**n - 1 - r (every signal flipped)
+    under A, in the same order: the state-B vector is the state-A one reversed.
     """
-    probs = np.ones(len(signals))
-    for qi, column in zip(q.q, signals.T):
-        probs *= np.where(column == (state == STATE_A), qi, 1.0 - qi)
-    return probs
+    probs = np.ones(1)
+    for qi in q.q:
+        probs = np.multiply.outer(probs, (qi, 1.0 - qi)).ravel()
+    return probs if state == STATE_A else probs[::-1]
 
 
 def enumerate_signal_space(
@@ -164,7 +164,6 @@ def enumerate_signal_space(
         raise ValueError(
             f"enumeration over {q.n} agents exceeds the cap of {ENUMERATION_CAP}"
         )
-    signals = signal_matrix(q.n)
-    probs = profile_probabilities(q, signals, state).tolist()
-    labels = np.where(signals, STATE_A, STATE_B).tolist()
+    probs = profile_probabilities(q, state).tolist()
+    labels = np.where(signal_matrix(q.n), STATE_A, STATE_B).tolist()
     return [(SignalProfile(tuple(y)), p) for y, p in zip(labels, probs)]

@@ -32,6 +32,7 @@ from jurymarkets.accuracy import (
     _fill_signals,
     _lanes,
     _majority_decisions,
+    _runs_of_equal_rows,
     _sample_signals,
     _thresholds,
 )
@@ -135,14 +136,36 @@ class TestBatchDecide:
             assert np.any((seen > low) & (seen <= high)), (low, high)
 
         # Few distinct weights: the rescued rows share a handful of count
-        # vectors, each summed once.
-        for w in (np.full(2 * pairs, 0.55), rng.choice([0.1, 0.2, 0.3], 2 * pairs)):
+        # vectors, each summed once.  Egalitarian weights and twelve weights
+        # repeated across the pairs tie the planted rows exactly.
+        for w in (
+            np.full(2 * pairs, 0.55),
+            rng.choice([0.1, 0.2, 0.3], 2 * pairs),
+            np.ones(2 * pairs),
+            np.tile(rng.choice(rng.uniform(0.1, 3.0, 12), pairs), 2),
+        ):
             margins = per_row_fsum(w)
             rescued = signals[np.abs(margins) < MARGIN_RESCUE_BOUND]
             assert len(rescued) >= 100
             values, group = np.unique(w, return_inverse=True)
             vectors = {tuple(np.bincount(group[row], minlength=values.size)) for row in rescued}
             assert len(vectors) < len(rescued) / 10
+
+    @pytest.mark.parametrize("columns", [1, 3, 12, 101])
+    def test_runs_of_equal_rows_group_as_unique(self, columns):
+        # The reference is np.unique(axis=0): the runs give the same
+        # distinct rows, in the same order, and each row the same group.
+        # Each odd pool row differs from the row before it in one cell.
+        rng = np.random.default_rng(columns)
+        pool = rng.integers(0, 3, (40, columns))
+        pool[1::2] = pool[::2]
+        pool[np.arange(1, 40, 2), rng.integers(0, columns, 20)] += 1
+        matrix = np.concatenate((pool[rng.integers(0, len(pool), 3_000)],
+                                 rng.integers(0, 3, (200, columns))))
+        vectors, which = np.unique(matrix, axis=0, return_inverse=True)
+        rows, first = _runs_of_equal_rows(matrix)
+        assert np.array_equal(matrix[rows[first]], vectors)
+        assert np.array_equal(np.cumsum(first) - 1, which.reshape(-1)[rows])
 
 
 class TestExactAccuracy:

@@ -1051,6 +1051,23 @@ class TestFlagOverrides:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
 
+    def test_k_is_checked_against_the_market_only_where_the_market_is_read(
+        self, tmp_path, capsys
+    ):
+        # check-equivalence takes no --market, so the config's market cannot
+        # clash with its --k; solve reads both and rejects the pair.
+        runs = {}
+        for name, data in (("plain", self.base_agents()),
+                           ("naive", dict(self.base_agents(), market="naive"))):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(data))
+            code = main(["check-equivalence", "--config", str(config), "--k", "5"])
+            runs[name] = (code, capsys.readouterr())
+        assert runs["naive"] == runs["plain"] and runs["plain"][0] == 0
+        assert main(["solve", "--config", str(tmp_path / "naive.json"), "--k", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: k only applies"), err
+
 
 # Every subcommand takes these besides the flags its COMMANDS row names.
 ALWAYS_TAKEN = ("--config", "--format", "--output")

@@ -7,9 +7,11 @@ and the SHA-256 of the bytes of one CLI call per line, on seeded panels at
 the sizes the benchmark runs (the goldens stop at five agents).  ``mc.txt``
 holds the ``float.hex`` of the value, tie mass and standard error of seeded
 Monte Carlo estimates of weak juries, whose values stay clear of 1 and so
-pin the sampler's bits.  Either way a diff names the case that moved.  A change that
-moves them on purpose regenerates the three files and lists the moved lines
-in CHANGES.md:
+pin the sampler's bits.  ``exact.txt`` holds the ``float.hex`` of the value
+and tie mass of exact accuracies, for every aggregator, on seeded competence
+panels of 1 to 12 agents.  Either way a diff names the case that moved.  A
+change that moves them on purpose regenerates the four files and lists the
+moved lines in CHANGES.md:
 
     PYTHONPATH=src python tests/test_fingerprints.py
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import random
 import sys
@@ -37,7 +40,9 @@ from jurymarkets import (
     BeliefProfile,
     CompetenceProfile,
     MarketKind,
+    exact_accuracy,
     majority_aggregator,
+    market_aggregator,
     monte_carlo_accuracy,
     solve_market,
 )
@@ -46,6 +51,7 @@ from jurymarkets.cli import main
 SOLVERS_FILE = Path(__file__).resolve().parent / "fingerprints" / "solvers.txt"
 CLI_FILE = SOLVERS_FILE.with_name("cli.txt")
 MC_FILE = SOLVERS_FILE.with_name("mc.txt")
+EXACT_FILE = SOLVERS_FILE.with_name("exact.txt")
 
 TAX_RATES = (1e-6, 0.1, 10.0, 1e3, 1e7, 1e300)
 # Beliefs at the ends of the open unit interval.
@@ -213,6 +219,45 @@ def mc_lines() -> list[str]:
     return lines
 
 
+def exact_lines() -> list[str]:
+    """Exact accuracies of every aggregator on seeded competence panels.
+
+    For each n = 1..12: a uniform panel; an equal-competence panel, whose
+    margins tie exactly at even n; a panel of three dyadic competences, whose
+    linear weights tie exactly too; and a panel at the ends of the
+    competence range, the double after 1/2 and 1 - 2**-53.
+    """
+    rng = random.Random(30)
+    aggregators = [majority_aggregator(scheme) for scheme in ("egalitarian", "linear", "log_odds")]
+    aggregators += [market_aggregator(kind) for kind in
+                    (MarketKind.NAIVE, MarketKind.KELLY, MarketKind.TAXED_ASYMPTOTIC)]
+    aggregators += [market_aggregator(MarketKind.TAXED_FINITE, k) for k in (1e-6, 10.0, 1e7)]
+    ends = (math.nextafter(0.5, 1.0), 1.0 - 2.0**-53)
+    lines = [host_header()]
+    for n in range(1, 13):
+        equal = rng.uniform(0.51, 0.99)
+        panels = (
+            tuple(rng.uniform(0.51, 0.99) for _ in range(n)),
+            (equal,) * n,
+            tuple(rng.choice((0.625, 0.75, 0.875)) for _ in range(n)),
+            tuple(rng.choice((*ends, rng.uniform(0.51, 0.99))) for _ in range(n)),
+        )
+        for index, panel in enumerate(panels):
+            label = f"n={n} panel {index}"
+            lines.append(f"{label} competences={','.join(c.hex() for c in panel)}")
+            q = CompetenceProfile(panel)
+            for agg in aggregators:
+                try:
+                    e = exact_accuracy(agg, q)
+                except Exception as exc:  # the type is the fingerprint
+                    lines.append(f"{label} {agg.name}: raises {type(exc).__name__}")
+                    continue
+                lines.append(
+                    f"{label} {agg.name}: value={e.value.hex()} tie_mass={e.tie_mass.hex()}"
+                )
+    return lines
+
+
 def compare(path: Path, current_lines: Callable[[], list[str]]) -> None:
     """Compare a fingerprint file with fresh lines, or skip on another platform."""
     recorded = path.read_text().splitlines()
@@ -236,10 +281,15 @@ def test_monte_carlo_fingerprint():
     compare(MC_FILE, mc_lines)
 
 
+def test_exact_accuracy_fingerprint():
+    compare(EXACT_FILE, exact_lines)
+
+
 if __name__ == "__main__":
     SOLVERS_FILE.parent.mkdir(exist_ok=True)
     SOLVERS_FILE.write_text("\n".join(fingerprint_lines()) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
         CLI_FILE.write_text("\n".join(cli_lines(Path(workdir))) + "\n")
     MC_FILE.write_text("\n".join(mc_lines()) + "\n")
-    print(f"wrote {SOLVERS_FILE}, {CLI_FILE} and {MC_FILE}", file=sys.stderr)
+    EXACT_FILE.write_text("\n".join(exact_lines()) + "\n")
+    print(f"wrote {SOLVERS_FILE}, {CLI_FILE}, {MC_FILE} and {EXACT_FILE}", file=sys.stderr)

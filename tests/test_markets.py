@@ -824,6 +824,27 @@ class TestTaxedPriceSearch:
             assert fsum(probes) / len(probes) <= 5.0 and max(probes) <= 8, probes
         assert fsum(d.inner_iterations for d in small) / len(small) <= 20.0
 
+    def test_a_bracket_of_one_double_raises_at_once(self, monkeypatch):
+        # At 5e-324 the bracket [min b, max b] is one double and no step
+        # moves the probe off it; at 1e-323 there is room to solve.
+        probes = 0
+        solve_stakes = markets._taxed_stakes_signed
+
+        def counted(*args, **kwargs):
+            nonlocal probes
+            probes += 1
+            return solve_stakes(*args, **kwargs)
+
+        monkeypatch.setattr(markets, "_taxed_stakes_signed", counted)
+        for beliefs in ((5e-324,), (5e-324,) * 3):
+            probes = 0
+            with pytest.raises(BracketingError, match="cannot move"):
+                taxed_equilibrium_finite(BeliefProfile(beliefs), 1.0)
+            assert probes <= 3, (beliefs, probes)
+        probes = 0
+        result = taxed_equilibrium_finite(BeliefProfile((1e-323,)), 1.0)
+        assert probes == result.diagnostics.iterations == 2
+
     def test_price_slope_matches_a_central_difference(self):
         rng = random.Random(29)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
-from math import fsum
+from math import fsum, nextafter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from jurymarkets import (
     posterior_belief,
     signal_matrix,
 )
+from jurymarkets.model import profile_probabilities
 
 competences = st.lists(
     st.floats(min_value=0.501, max_value=0.999), min_size=1, max_size=8
@@ -183,3 +186,50 @@ class TestEnumerateSignalSpace:
         flip = {"A": "B", "B": "A"}
         for y in product((STATE_A, STATE_B), repeat=3):
             assert by_a[y] == by_b[tuple(flip[s] for s in y)]
+
+
+def shift_and_mask_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the n-agent signal matrix by shift and mask of
+    the row index, the former build of signal_matrix."""
+    bits = np.arange(start, stop)[:, None] >> np.arange(n - 1, -1, -1)
+    return (bits & 1) == 0
+
+
+def running_products(q: CompetenceProfile, state: str) -> np.ndarray:
+    """One np.where factor per agent, multiplied left to right into every row
+    of signal_matrix(q.n), the former build of profile_probabilities."""
+    signals = signal_matrix(q.n)
+    probs = np.ones(len(signals))
+    for qi, column in zip(q.q, signals.T):
+        probs *= np.where(column == (state == STATE_A), qi, 1.0 - qi)
+    return probs
+
+
+class TestSignalSpaceBuilds:
+    """The signal matrix and its probabilities against the loops they replace."""
+
+    def test_signal_matrix_equals_shift_and_mask(self):
+        block = 2**16  # bounds the reference's int64 working set
+        for n in range(1, ENUMERATION_CAP + 1):
+            signals = signal_matrix(n)
+            assert signals.dtype == bool and signals.shape == (2**n, n)
+            for start in range(0, 2**n, block):
+                stop = min(start + block, 2**n)
+                assert np.array_equal(signals[start:stop], shift_and_mask_rows(n, start, stop)), n
+
+    def test_probabilities_equal_running_products_bitwise(self):
+        rng = random.Random(30)
+        ends = (nextafter(0.5, 1.0), 1.0 - 2.0**-53)
+        for n in range(1, 17):
+            for draw in range(3):
+                q = CompetenceProfile(tuple(
+                    rng.choice(ends) if draw == 2 and rng.random() < 0.5
+                    else rng.uniform(0.501, 0.999) for _ in range(n)
+                ))
+                for state in STATES:
+                    probs = profile_probabilities(q, state)
+                    expected = running_products(q, state)
+                    assert probs.shape == expected.shape
+                    assert np.array_equal(probs.view(np.uint64), expected.view(np.uint64)), (
+                        n, state
+                    )
