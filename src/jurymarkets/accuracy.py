@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equivalence import PAIRINGS, WEIGHT_SCHEMES
+from .equivalence import MARKET_SCHEMES, WEIGHT_SCHEMES
 from .markets import MarketKind, _check_k, taxed_half_price_weights
 from .model import STATE_A, CompetenceProfile, profile_probabilities, signal_matrix
 from .voting import WeightProfile, decisions_from_offsets
@@ -162,7 +162,10 @@ def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
     what an A-signal agent of the same competence stakes on A).  For the
     naive, Kelly and asymptotic taxed markets these weights are, up to a
     positive factor, the paired election's (1, 2q - 1, log-odds), read from
-    PAIRINGS and WEIGHT_SCHEMES.  Only the finite taxed market reads k; its
+    MARKET_SCHEMES and WEIGHT_SCHEMES: the market decides exactly like its
+    paired majority, so the CLI's accuracy command reports that majority's
+    estimate under the market's name when it scores both in one call.  Only
+    the finite taxed market reads k, and it is always scored on its own; its
     weights come from taxed_half_price_weights, whose margin reads like
     solve_market's offset n (p* - 1/2) in the tie band.
     """
@@ -172,8 +175,7 @@ def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
             f"market_{kind.value}_k={k:g}",
             lambda q: WeightProfile(tuple(taxed_half_price_weights(np.array(q.q), k).tolist())),
         )
-    scheme = next(scheme for scheme, paired in PAIRINGS.values() if paired is kind)
-    return _weighted_majority(f"market_{kind.value}", WEIGHT_SCHEMES[scheme])
+    return _weighted_majority(f"market_{kind.value}", WEIGHT_SCHEMES[MARKET_SCHEMES[kind]])
 
 
 def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:

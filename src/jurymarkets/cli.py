@@ -39,7 +39,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -54,7 +54,7 @@ from .accuracy import (
     market_aggregator,
     monte_carlo_accuracy,
 )
-from .equivalence import WEIGHT_SCHEMES, check_all_schemes
+from .equivalence import MARKET_SCHEMES, WEIGHT_SCHEMES, check_all_schemes
 from .markets import (
     BracketingError,
     MarketKind,
@@ -580,26 +580,40 @@ def cmd_check_equivalence(cfg: ExperimentConfig, args: argparse.Namespace) -> Ou
 
 
 def cmd_accuracy(cfg: ExperimentConfig, args: argparse.Namespace) -> Output:
+    """One estimate per aggregator, each distinct decision rule scored once.
+
+    An aggregator is keyed by the weight rule it decides with: a majority by
+    its scheme, a closed-form market by the scheme MARKET_SCHEMES pairs it
+    with, and the finite taxed market by itself.  A closed-form market scored
+    in the same call as its paired majority decides every profile alike, so
+    it reports that majority's estimate under its own name; the finite taxed
+    market is always scored on its own.  Nothing is kept between calls.
+    """
     q = _require_competences(cfg, "accuracy")
     if args.seed is not None and cfg.trials is None:
         raise ConfigError("--seed only applies to Monte Carlo accuracy; pass --trials too")
     if args.k is not None and cfg.market is None:
         raise ConfigError("--k only applies to a market's accuracy; pass --market too")
     schemes = [cfg.weights] if cfg.weights else list(WEIGHT_SCHEMES)
-    aggregators = [majority_aggregator(s) for s in schemes]
+    rules = [(s, majority_aggregator(s)) for s in schemes]
     if cfg.market is not None:
-        aggregators.append(market_aggregator(_require_market(cfg, "accuracy"), cfg.k))
+        kind = _require_market(cfg, "accuracy")
+        rules.append((MARKET_SCHEMES.get(kind, kind), market_aggregator(kind, cfg.k)))
+    if cfg.trials is None and q.n > EXACT_MAX_AGENTS:
+        raise ConfigError(
+            f"{q.n} agents exceed the exact-enumeration cap "
+            f"({EXACT_MAX_AGENTS}); pass trials for Monte Carlo"
+        )
+    scored = {}
     estimates = []
-    for agg in aggregators:
-        if cfg.trials is not None:
-            estimates.append(monte_carlo_accuracy(agg, q, cfg.trials, cfg.seed))
-        elif q.n <= EXACT_MAX_AGENTS:
-            estimates.append(exact_accuracy(agg, q))
+    for rule, agg in rules:
+        if rule in scored:
+            estimate = replace(scored[rule], aggregator=agg.name)
+        elif cfg.trials is None:
+            estimate = scored[rule] = exact_accuracy(agg, q)
         else:
-            raise ConfigError(
-                f"{q.n} agents exceed the exact-enumeration cap "
-                f"({EXACT_MAX_AGENTS}); pass trials for Monte Carlo"
-            )
+            estimate = scored[rule] = monte_carlo_accuracy(agg, q, cfg.trials, cfg.seed)
+        estimates.append(estimate)
 
     names = ("aggregator", "method", "value", "tie_mass", "trials", "std_error", "seed")
     table = Table(names, [_fields(estimates, *names)])

@@ -66,6 +66,10 @@ PAIRINGS: dict[EquivalenceScheme, tuple[str, MarketKind]] = {
     EquivalenceScheme.LOG_ODDS_TAXED: ("log_odds", MarketKind.TAXED_ASYMPTOTIC),
 }
 
+# The weight scheme whose majority each closed-form market decides like;
+# the finite taxed market has none.
+MARKET_SCHEMES: dict[MarketKind, str] = {kind: scheme for scheme, kind in PAIRINGS.values()}
+
 ALL_SCHEMES = tuple(EquivalenceScheme)
 
 

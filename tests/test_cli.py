@@ -10,7 +10,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,15 @@ from hypothesis import strategies as st
 
 from jurymarkets import (
     BracketingError,
+    CompetenceProfile,
     Decision,
     EquivalenceReport,
     EquivalenceScheme,
     clearing_price,
+    exact_accuracy,
+    majority_aggregator,
+    market_aggregator,
+    monte_carlo_accuracy,
     taxed_best_response_asymptotic,
     taxed_equilibrium_asymptotic,
     taxed_equilibrium_finite,
@@ -41,7 +46,9 @@ from jurymarkets.cli import (
     main,
     parse_config,
 )
-from jurymarkets.equivalence import WEIGHT_SCHEMES
+from jurymarkets.equivalence import MARKET_SCHEMES, WEIGHT_SCHEMES
+
+from conftest import EXAMPLE_2_Q
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -1349,3 +1356,71 @@ class TestJsonColumns:
         record = json.loads(out)
         assert len(record["weights"]) == len(record["votes"]) == n
         assert out == json.dumps(record, indent=2) + "\n"
+
+
+class TestPairedAccuracy:
+    """accuracy scores each distinct decision rule once: a closed-form market
+    reports its paired majority's estimate, the finite taxed market its own."""
+
+    CASES = [
+        (["--weights", "egalitarian", "--market", "naive"], 1),
+        (["--weights", "linear", "--market", "kelly"], 1),
+        (["--weights", "log_odds", "--market", "taxed_asymptotic"], 1),
+        (["--weights", "egalitarian", "--market", "kelly"], 2),
+        (["--weights", "linear", "--market", "taxed_asymptotic"], 2),
+        (["--weights", "log_odds", "--market", "naive"], 2),
+        (["--weights", "log_odds", "--market", "taxed_finite", "--k", "10"], 2),
+        (["--market", "kelly"], 3),
+        (["--market", "taxed_finite", "--k", "10"], 4),
+    ]
+    TRIALS = [[], ["--trials", "500", "--seed", "4"]]
+
+    @staticmethod
+    def counted(monkeypatch) -> list[str]:
+        """Route both estimators through a counter; returns the calls' methods."""
+        calls = []
+        for attr in ("exact_accuracy", "monte_carlo_accuracy"):
+            def estimate(*args, _attr=attr, _fn=getattr(cli, attr)):
+                calls.append(_attr)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, attr, estimate)
+        return calls
+
+    @staticmethod
+    def rows(argv: list[str], capsys) -> list[dict]:
+        assert main(["accuracy", "--config", str(EXAMPLE_2), *argv]) == 0
+        return json.loads(capsys.readouterr().out)["estimates"]
+
+    @pytest.mark.parametrize("trials", TRIALS, ids=["exact", "monte_carlo"])
+    @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_estimates_per_distinct_rule(self, argv, expected, trials, monkeypatch, capsys):
+        calls = self.counted(monkeypatch)
+        rows = self.rows(argv + trials, capsys)
+        method = "monte_carlo_accuracy" if trials else "exact_accuracy"
+        assert calls == [method] * expected
+        majorities = len(WEIGHT_SCHEMES) if "--weights" not in argv else 1
+        assert len(rows) == majorities + 1
+        assert len({row["aggregator"] for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("trials", TRIALS, ids=["exact", "monte_carlo"])
+    def test_no_state_between_calls(self, trials, monkeypatch, capsys):
+        calls = self.counted(monkeypatch)
+        argv = ["--weights", "linear", "--market", "kelly", *trials]
+        first = self.rows(argv, capsys)
+        assert len(calls) == 1
+        assert self.rows(argv, capsys) == first
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("trials", TRIALS, ids=["exact", "monte_carlo"])
+    @pytest.mark.parametrize("kind", list(MARKET_SCHEMES), ids=lambda kind: kind.value)
+    def test_shared_row_is_the_markets_own_estimate(self, kind, trials, capsys):
+        scheme = MARKET_SCHEMES[kind]
+        majority, market = self.rows(
+            ["--weights", scheme, "--market", kind.value, *trials], capsys
+        )
+        q = CompetenceProfile(EXAMPLE_2_Q)
+        agg = market_aggregator(kind)
+        own = monte_carlo_accuracy(agg, q, 500, 4) if trials else exact_accuracy(agg, q)
+        assert market == asdict(own)
+        assert majority == asdict(replace(own, aggregator=majority_aggregator(scheme).name))
