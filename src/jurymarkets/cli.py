@@ -14,11 +14,13 @@ beliefs, optional signals, market kind, weight scheme, seed, trials); the
 flags a subcommand takes override config fields.  Output is deterministic
 JSON or CSV — identical inputs produce byte-identical bytes — written to
 stdout or ``--output``.  ``COMMANDS`` is the one table of subcommands, with
-the flags each one reads, spelled in full, from ``FLAGS``: every handler
-returns its status, JSON record and CSV table, and ``main`` alone picks the
-format and writes the bytes.  The JSON bytes are exactly those of
-``json.dumps(record, indent=2)`` and the CSV bytes those of the ``csv``
-module's writer with ``None`` empty and booleans as ``true``/``false``.
+the flags each one reads, spelled in full, from ``FLAGS``, and ``FIELDS``
+the one table of the config fields a flag may override, each with the test
+its value must pass: every handler returns its status, JSON record and CSV
+table, and ``main`` alone picks the format and writes the bytes.  The JSON
+bytes are exactly those of ``json.dumps(record, indent=2)`` and the CSV
+bytes those of the ``csv`` module's writer with ``None`` empty and booleans
+as ``true``/``false``.
 Per-row output is a ``Table`` of named columns: each column is formatted at
 C level, a float by one ``repr`` and any other value once per distinct
 value, and each row is one ``str.join`` of its cells.  A JSON list of
@@ -175,10 +177,37 @@ def _is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_k(value: object) -> bool:
+    """A tax intensity: a real number that is a normal positive double."""
+    return _is_real(value) and float_info.min <= value <= float_info.max
+
+
+# Each config field a flag may override, in the order parse_config checks
+# them and ExperimentConfig lists them: the test its value must pass, and
+# the text that follows "name=value!r" when it fails.  An unset flag reads
+# the config field; an absent field reads as None, but seed as 0 and format
+# as parse_config's default_format, and these two reject None.  Each choice
+# is tested in a tuple, so a JSON list or object fails, not raises TypeError.
+FIELDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "market": ((None, *MARKET_KINDS).__contains__, f"must be one of {', '.join(MARKET_KINDS)}"),
+    "k": (lambda v: v is None or _is_k(v),
+          f"must be a finite positive number >= {float_info.min!r}"),
+    "weights": ((None, *WEIGHT_SCHEMES).__contains__,
+                f"must be one of {', '.join(WEIGHT_SCHEMES)}"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64,
+             "must be an unsigned 64-bit integer"),
+    "trials": (lambda v: v is None or isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+               "must be a positive integer"),
+    "output": (lambda v: v is None or isinstance(v, str) and v != "",
+               "must be a non-empty path string"),
+    "format": (("json", "csv").__contains__, "must be 'json' or 'csv'"),
+}
+
+
 def _parse_k(k: object) -> float:
     """A tax intensity, as a config field or a flag gives it: a normal positive double."""
-    if not _is_real(k) or not float_info.min <= k <= float_info.max:
-        raise ConfigError(f"k={k!r} must be a finite positive number >= {float_info.min!r}")
+    if not _is_k(k):
+        raise ConfigError(f"k={k!r} {FIELDS['k'][1]}")
     return float(k)
 
 
@@ -190,12 +219,8 @@ def parse_config(
     """Validate a raw config mapping, applying command-line overrides."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    known = {
-        "agents", "signals", "market", "k", "weights", "seed", "trials", "output", "format",
-        *FIXED_VALUES,
-    }
     for key in data:
-        if key not in known:
+        if key not in FIELDS and key not in FIXED_VALUES and key not in ("agents", "signals"):
             raise ConfigError(f"unknown config field {key!r}")
 
     if "agents" not in data:
@@ -228,60 +253,24 @@ def parse_config(
             )
         signals = tuple(signals)
 
-    def pick(field: str, default=None):
-        value = getattr(overrides, field.replace("-", "_"), None) if overrides else None
-        if value is not None:
-            return value
-        return data.get(field, default)
-
-    market = pick("market")
-    if market is not None and market not in MARKET_KINDS:
-        raise ConfigError(f"market={market!r} must be one of {', '.join(MARKET_KINDS)}")
-
-    k = pick("k")
-    if k is not None:
-        k = _parse_k(k)
-        reads_market = overrides is None or hasattr(overrides, "market")  # takes --market
-        if reads_market and market not in (None, MarketKind.TAXED_FINITE.value):
-            raise ConfigError(
-                f"k only applies to the taxed_finite market, not market={market!r}"
-            )
-
-    weights = pick("weights")
-    if weights is not None and weights not in WEIGHT_SCHEMES:
-        raise ConfigError(
-            f"weights={weights!r} must be one of {', '.join(WEIGHT_SCHEMES)}"
-        )
-
-    seed = pick("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed={seed!r} must be an unsigned 64-bit integer")
-
-    trials = pick("trials")
-    if trials is not None and (
-        not isinstance(trials, int) or isinstance(trials, bool) or trials < 1
-    ):
-        raise ConfigError(f"trials={trials!r} must be a positive integer")
-
-    output = pick("output")
-    if output is not None and (not isinstance(output, str) or not output):
-        raise ConfigError(f"output={output!r} must be a non-empty path string")
-    fmt = pick("format", default_format)
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format={fmt!r} must be 'json' or 'csv'")
-
-    return ExperimentConfig(
-        competences=competences,
-        beliefs=beliefs,
-        signals=signals,
-        market=market,
-        k=k,
-        weights=weights,
-        seed=seed,
-        trials=trials,
-        output=output,
-        format=fmt,
-    )
+    defaults = {"seed": 0, "format": default_format}
+    reads_market = overrides is None or hasattr(overrides, "market")  # takes --market
+    fields = {}
+    for name, (valid, message) in FIELDS.items():
+        value = getattr(overrides, name, None)
+        if value is None:
+            value = data.get(name, defaults.get(name))
+        if not valid(value):
+            raise ConfigError(f"{name}={value!r} {message}")
+        if name == "k" and value is not None:  # a clash with the market fails before weights
+            value = float(value)
+            market = fields["market"]
+            if reads_market and market not in (None, MarketKind.TAXED_FINITE.value):
+                raise ConfigError(
+                    f"k only applies to the taxed_finite market, not market={market!r}"
+                )
+        fields[name] = value
+    return ExperimentConfig(competences, beliefs, signals, **fields)
 
 
 def load_config(
@@ -628,7 +617,7 @@ def _parse_k_list(text: str | None, flag: str = "--k-list") -> tuple[float, ...]
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"{flag} {text!r} is not a comma-separated list of reals") from exc
-    if not values or any(not float_info.min <= v <= float_info.max for v in values):
+    if not values or not all(map(_is_k, values)):
         raise ConfigError(f"{flag} {text!r} needs finite positive reals >= {float_info.min!r}")
     return values
 

@@ -135,7 +135,9 @@ def price_offset(kind: MarketKind, price: float, n: int) -> float:
         return float((price > 0.5) - (price < 0.5))
     if kind is MarketKind.TAXED_ASYMPTOTIC:
         return 0.5 * n * log(price / (1.0 - price))
-    return n * (price - 0.5)
+    if kind is MarketKind.KELLY or kind is MarketKind.TAXED_FINITE:
+        return n * (price - 0.5)
+    raise ValueError(f"market kind {kind!r} is not a MarketKind")
 
 
 @dataclass(frozen=True)
@@ -627,7 +629,9 @@ def market_price(b: BeliefProfile, kind: MarketKind, k: float | None) -> float:
         return _kelly_price(b)
     if kind is MarketKind.TAXED_FINITE:
         return taxed_equilibrium_finite(b, k).price
-    return taxed_equilibrium_asymptotic(b)
+    if kind is MarketKind.TAXED_ASYMPTOTIC:
+        return taxed_equilibrium_asymptotic(b)
+    raise ValueError(f"market kind {kind!r} is not a MarketKind")
 
 
 def solve_market(b: BeliefProfile, kind: MarketKind, k: float | None) -> EquilibriumResult:
@@ -645,6 +649,8 @@ def solve_market(b: BeliefProfile, kind: MarketKind, k: float | None) -> Equilib
         return kelly_equilibrium(b)
     if kind is MarketKind.TAXED_FINITE:
         return taxed_equilibrium_finite(b, k)
+    if kind is not MarketKind.TAXED_ASYMPTOTIC:
+        raise ValueError(f"market kind {kind!r} is not a MarketKind")
     price = taxed_equilibrium_asymptotic(b)
     return EquilibriumResult((0.0,) * b.n, price, kind, _NO_DIAGNOSTICS)
 

@@ -11,8 +11,8 @@ the resulting belief profiles.
 
 The model is deliberately rigid about two constants: the prior is exactly
 one half and every agent's endowment is exactly one.  The election/market
-correspondences proved elsewhere in this package lean on both, so any
-other value is rejected instead of silently producing garbage.
+correspondences proved elsewhere in this package lean on both, so neither
+is a parameter; the config reader rejects any other value (``cli.FIXED_VALUES``).
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ from jurymarkets import (
 from jurymarkets import cli
 from jurymarkets.cli import (
     COMMANDS,
+    FIELDS,
+    FIXED_VALUES,
     FLAGS,
     MARKET_KINDS,
     Cells,
@@ -201,6 +203,13 @@ class TestReadmeCommands:
         target = tmp_path / "out"
         assert main([*argv, "--output", str(target)]) == 0
         assert target.read_bytes()
+
+
+def test_readme_config_schema_lists_every_field():
+    # The schema block names each field parse_config accepts, and no other.
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert set(json.loads(block)) == {"agents", "signals"} | set(FIELDS) | set(FIXED_VALUES)
 
 
 class TestDeterminism:
@@ -779,6 +788,39 @@ agent_lists = st.one_of(
 )
 
 
+# Any JSON value: scalars, among them integers past 2**64 and NaN, infinite
+# and subnormal floats, and the strings each field accepts, nested in lists
+# and objects.
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(
+        ("A", "B", "naive", "kelly", "taxed_finite", "linear", "log_odds", "csv", "json",
+         0.5, 0.75, 1, 1.0, 2**64)
+    ),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def json_configs(draw) -> dict:
+    """A two-agent config with a drawn value, or none, under each field and in one agent."""
+    kind = draw(st.sampled_from(("competence", "belief")))
+    agents = [{kind: 0.75}, {kind: 0.6}]
+    if draw(st.booleans()):
+        agents[draw(st.integers(0, 1))] = {kind: draw(json_values)}
+    fields = dict.fromkeys(("signals", *FIELDS, *FIXED_VALUES), json_values)
+    return {"agents": agents, **draw(st.fixed_dictionaries({}, optional=fields))}
+
+
 class TestConfigValidation:
     def base(self) -> dict:
         return {"agents": [{"competence": 0.7}, {"competence": 0.6}]}
@@ -928,6 +970,40 @@ class TestConfigValidation:
         else:
             assert (cfg.competences, cfg.beliefs) == expected
             assert set(map(type, cfg.competences or cfg.beliefs)) == {float}
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_configs())
+    @example(dict(agents=[{"competence": 0.75}, {"competence": 0.6}], weights=[]))
+    def test_any_json_value_parses_or_is_a_config_error(self, data):
+        try:
+            cfg = parse_config(data)
+        except ConfigError:
+            return
+        assert type(cfg) is cli.ExperimentConfig
+
+    CLASH = "k only applies to the taxed_finite market, not market='kelly'"
+
+    @pytest.mark.parametrize(
+        "bad", [{"weights": "quadratic"}, {"weights": []}, {"seed": -1}, {"seed": None},
+                {"trials": 0}, {"output": ""}, {"format": "xml"}, {"format": {}}],
+        ids=repr,
+    )
+    def test_k_market_clash_is_reported_before_later_fields(self, bad):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(dict(self.base(), k=1.0, market="kelly", **bad))
+        assert str(excinfo.value) == self.CLASH
+
+    @pytest.mark.parametrize("weights", [[], {}, ["linear"]], ids=repr)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_container_weights_is_one_error_line(self, command, weights, tmp_path, capsys):
+        config = tmp_path / "weights.json"
+        config.write_text(json.dumps(dict(self.base(), weights=weights)))
+        assert main([command, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: weights={weights!r} must be one of egalitarian, linear, log_odds\n"
+        )
 
     def test_belief_agents_with_signals_rejected(self):
         data = {"agents": [{"belief": 0.6}], "signals": ["A"]}

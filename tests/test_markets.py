@@ -1128,3 +1128,22 @@ class TestPriceWithoutStakes:
                 splits += 1
                 assert set(result.stakes) <= {1.0, -1.0}, beliefs
         assert splits >= 20
+
+
+class TestKindIsAMarketKind:
+    """A kind that is not a MarketKind, such as its value's string, is named, not
+    priced as the last kind each function handles."""
+
+    BELIEFS = BeliefProfile((0.9, 0.3, 0.4))
+
+    def test_solve_market(self):
+        with pytest.raises(ValueError, match="market kind 'naive' is not a MarketKind"):
+            solve_market(self.BELIEFS, "naive", None)
+
+    def test_market_price(self):
+        with pytest.raises(ValueError, match="market kind 'naive' is not a MarketKind"):
+            markets.market_price(self.BELIEFS, "naive", None)
+
+    def test_price_offset(self):
+        with pytest.raises(ValueError, match="market kind 'naive' is not a MarketKind"):
+            markets.price_offset("naive", 0.4, 3)

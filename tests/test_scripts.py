@@ -92,6 +92,19 @@ def test_bad_input_is_one_error_line(tmp_path, script, config, args):
     assert_one_error_line(result)
 
 
+@pytest.mark.parametrize("weights", [[], {}, ["linear"]], ids=repr)
+@pytest.mark.parametrize("script", ["run_worked_examples.py", "tax_convergence.py"])
+def test_container_weights_is_one_error_line(tmp_path, script, weights):
+    # A config's weights is checked as the CLI checks it, even where unread.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json.loads((REPO / EXAMPLE_1).read_text()) | {"weights": weights}))
+    result = run_script(script, "--config", str(path))
+    assert_one_error_line(result)
+    assert result.stderr == (
+        f"error: weights={weights!r} must be one of egalitarian, linear, log_odds\n".encode()
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
