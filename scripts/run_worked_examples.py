@@ -81,7 +81,7 @@ def report(q: CompetenceProfile, y: SignalProfile, b: BeliefProfile, k: float) -
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
         action="append",

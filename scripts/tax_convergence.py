@@ -50,7 +50,7 @@ DEFAULT_GRID = tuple(float(k) for k in np.logspace(-2, 4, 13))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
         default=str(REPO / "configs" / "example1.json"),

@@ -6,6 +6,8 @@ trade Arrow securities, and both aggregation routes are solved, compared,
 and scored for truth-tracking accuracy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .accuracy import (
     AccuracyEstimate,
     Aggregator,
@@ -86,70 +88,10 @@ from .voting import (
 
 __version__ = "0.1.0"
 
+# The import block above is the public API: every name it binds, and no
+# submodule (importing from one binds it on the package too).
 __all__ = [
-    "ENUMERATION_CAP",
-    "STATE_A",
-    "STATE_B",
-    "STATES",
-    "ALL_SCHEMES",
-    "TIE_TOLERANCE",
-    "AccuracyEstimate",
-    "Aggregator",
-    "BeliefProfile",
-    "BracketingError",
-    "CompetenceProfile",
-    "Decision",
-    "Diagnostics",
-    "EquilibriumResult",
-    "EquivalenceReport",
-    "EquivalenceScheme",
-    "GridSpec",
-    "MarketKind",
-    "OptimalWeightsReport",
-    "SideInvestment",
-    "SignalProfile",
-    "UndefinedPriceError",
-    "VotingProfile",
-    "WeightProfile",
-    "beliefs_from_signals",
-    "check_all_schemes",
-    "check_linear_kelly",
-    "check_log_odds_taxed",
-    "check_scheme",
-    "check_simple_naive",
-    "clearing_price",
-    "decision_from_offset",
-    "enumerate_signal_space",
-    "exact_accuracy",
-    "exhaustive_accuracy_oracle",
-    "exhaustive_state_conditional_accuracies",
-    "fixed_weights_aggregator",
-    "full_investment_equivalence",
-    "grid_equilibrium_search",
-    "kelly_best_response",
-    "kelly_equilibrium",
-    "kelly_utility",
-    "majority_aggregator",
-    "market_aggregator",
-    "monte_carlo_accuracy",
-    "naive_best_response",
-    "naive_equilibrium",
-    "naive_utility",
-    "posterior_belief",
-    "signal_matrix",
-    "solve_market",
-    "tax_function",
-    "taxed_best_response",
-    "taxed_best_response_asymptotic",
-    "taxed_equilibrium_asymptotic",
-    "taxed_equilibrium_finite",
-    "taxed_foc_residual",
-    "taxed_utility",
-    "verify_optimal_weights",
-    "votes_from_beliefs",
-    "weighted_majority",
-    "weighted_margin",
-    "weights_egalitarian",
-    "weights_linear",
-    "weights_log_odds",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

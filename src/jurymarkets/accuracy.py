@@ -141,11 +141,13 @@ def majority_aggregator(scheme: str) -> Aggregator:
     tie tolerance of zero are read as ties, the same convention the
     equivalence checks use.
     """
-    if scheme not in WEIGHT_SCHEMES:
+    try:
+        scheme_fn = WEIGHT_SCHEMES[scheme]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown weight scheme {scheme!r}; expected one of {sorted(WEIGHT_SCHEMES)}"
-        )
-    return _weighted_majority(f"majority_{scheme}", WEIGHT_SCHEMES[scheme])
+        ) from None
+    return _weighted_majority(f"majority_{scheme}", scheme_fn)
 
 
 def fixed_weights_aggregator(name: str, weights: WeightProfile) -> Aggregator:
@@ -175,7 +177,11 @@ def market_aggregator(kind: MarketKind, k: float | None = None) -> Aggregator:
             f"market_{kind.value}_k={k:g}",
             lambda q: WeightProfile(tuple(taxed_half_price_weights(np.array(q.q), k).tolist())),
         )
-    return _weighted_majority(f"market_{kind.value}", WEIGHT_SCHEMES[MARKET_SCHEMES[kind]])
+    try:
+        scheme = MARKET_SCHEMES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"market kind {kind!r} is not a MarketKind") from None
+    return _weighted_majority(f"market_{kind.value}", WEIGHT_SCHEMES[scheme])
 
 
 def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:

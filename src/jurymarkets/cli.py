@@ -761,7 +761,11 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped onto the validation exit code."""
+    """argparse with usage errors mapped onto the validation exit code, and
+    every flag spelled in full: sweep-k reads --k as unknown, not as --k-list."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
@@ -774,12 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="jurymarkets",
         description="Weighted-majority elections and information-market equilibria.",
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
-        # Flags are spelled in full, so sweep-k reads --k as unknown, not as --k-list.
-        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        p = sub.add_parser(name, help=command.help)
         for flag in ("--config", *command.flags, "--format", "--output"):
             p.add_argument(flag, **FLAGS[flag])
     return parser

@@ -130,7 +130,10 @@ def check_scheme(
     its market afresh (market_price, the price solve_market reports); stakes
     are built only by solve_market.
     """
-    weights, kind = PAIRINGS[scheme]
+    try:
+        weights, kind = PAIRINGS[scheme]
+    except (KeyError, TypeError):
+        raise ValueError(f"scheme {scheme!r} is not an EquivalenceScheme") from None
     finite = kind is MarketKind.TAXED_ASYMPTOTIC and k is not None
     if finite:
         kind = MarketKind.TAXED_FINITE

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from sys import float_info
 from typing import Callable
 
@@ -54,12 +55,10 @@ class GridSpec:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.resolution < 3:
-            raise ValueError(f"resolution {self.resolution!r} must be at least 3")
-        if self.strategy_resolution < 3:
-            raise ValueError(
-                f"strategy_resolution {self.strategy_resolution!r} must be at least 3"
-            )
+        for name in ("resolution", "strategy_resolution"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 3:
+                raise ValueError(f"{name} {value!r} must be an integer of at least 3")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance {self.tolerance!r} must be positive")
 
@@ -177,8 +176,10 @@ def grid_equilibrium_search(
             raise ValueError(
                 f"taxed search needs a finite positive k >= {float_info.min!r}, got k={k!r}"
             )
-    else:
+    elif kind is MarketKind.NAIVE or kind is MarketKind.KELLY:
         k = None
+    else:
+        raise ValueError(f"market kind {kind!r} is not a MarketKind")
 
     beliefs = np.array(b.b, dtype=float)
     prices = np.linspace(0.0, 1.0, grid.resolution)[1:-1]

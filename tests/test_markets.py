@@ -28,6 +28,7 @@ from jurymarkets import (
     SignalProfile,
     UndefinedPriceError,
     beliefs_from_signals,
+    check_scheme,
     clearing_price,
     decision_from_offset,
     full_investment_equivalence,
@@ -35,6 +36,7 @@ from jurymarkets import (
     kelly_best_response,
     kelly_equilibrium,
     kelly_utility,
+    majority_aggregator,
     market_aggregator,
     naive_best_response,
     naive_equilibrium,
@@ -1147,3 +1149,28 @@ class TestKindIsAMarketKind:
     def test_price_offset(self):
         with pytest.raises(ValueError, match="market kind 'naive' is not a MarketKind"):
             markets.price_offset("naive", 0.4, 3)
+
+    @pytest.mark.parametrize("kind", ["naive", "kelly"])
+    def test_grid_equilibrium_search(self, kind):
+        with pytest.raises(ValueError, match=f"market kind '{kind}' is not a MarketKind"):
+            grid_equilibrium_search(self.BELIEFS, kind)
+
+    def test_market_aggregator(self):
+        with pytest.raises(ValueError, match="market kind 'naive' is not a MarketKind"):
+            market_aggregator("naive")
+
+
+class TestSchemeIsNamed:
+    """A scheme that is not one of the known ones is named by a ValueError."""
+
+    def test_check_scheme(self):
+        q = CompetenceProfile((0.9, 0.7, 0.6))
+        y = SignalProfile(("A", "B", "B"))
+        with pytest.raises(
+            ValueError, match="scheme 'simple_naive' is not an EquivalenceScheme"
+        ):
+            check_scheme("simple_naive", q, y)
+
+    def test_majority_aggregator(self):
+        with pytest.raises(ValueError, match=r"unknown weight scheme \['x'\]"):
+            majority_aggregator(["x"])

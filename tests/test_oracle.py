@@ -47,10 +47,13 @@ class TestGridSpec:
             {"strategy_resolution": 1},
             {"tolerance": 0.0},
             {"tolerance": -1e-9},
+            {"resolution": 10.5},
+            {"strategy_resolution": 7.5},
         ],
     )
     def test_rejects_degenerate_specs(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"^{field} "):
             GridSpec(**kwargs)
 
 
