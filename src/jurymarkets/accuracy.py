@@ -28,7 +28,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from math import fsum, sqrt
+from math import fsum, inf, sqrt
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -152,6 +153,8 @@ def majority_aggregator(scheme: str) -> Aggregator:
 
 def fixed_weights_aggregator(name: str, weights: WeightProfile) -> Aggregator:
     """Weighted-majority rule under an explicit weight vector."""
+    if not isinstance(weights, WeightProfile):
+        raise ValueError(f"weights {weights!r} must be a WeightProfile")
     return _weighted_majority(name, lambda q: weights)
 
 
@@ -214,6 +217,12 @@ def exact_accuracy(agg: Aggregator, q: CompetenceProfile) -> AccuracyEstimate:
         value=0.5 * (q_a + q_b),
         tie_mass=0.5 * (ties_a + ties_b),
     )
+
+
+def _check_integer(name: str, value: object, low: int, high: float, rule: str) -> None:
+    """Reject value unless it is an integer, not a bool, in [low, high); numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+        raise ValueError(f"{name} {value!r} {rule}")
 
 
 def _sampling_workers() -> int:
@@ -300,8 +309,9 @@ def _sample_signals(
     to the block's fix-up substream when the block has a lane to fix up.
     numpy releases the GIL in the word generation and the comparisons.
     Claiming block by block, not in fixed runs, means a thread whose CPU
-    stalls holds back only its current block.  The threads are joined before
-    return and a block's exception is raised here.
+    stalls holds back only its current block.  A one-block batch starts no
+    thread; otherwise the helpers run on a ThreadPoolExecutor, joined before
+    return, and a block's exception is raised here.
     """
     n = q_vec.size
     bits = np.random.Philox(key=key)
@@ -313,7 +323,6 @@ def _sample_signals(
     step = _block_rows(n)
     starts = iter(range(0, size, step))
     claim = threading.Lock()
-    errors: list[Exception] = []
 
     def fill() -> None:
         own = state = None  # this thread's Philox and its state, built on first use
@@ -333,33 +342,30 @@ def _sample_signals(
         while True:
             with claim:
                 start = next(starts, None)
-            if start is None or errors:
+            if start is None:
                 return
-            try:
-                block_bits = seek(0, first + start * n // 4) if start else bits
-                _fill_signals(
-                    block_bits,
-                    lambda count: seek(1 + start // step, 0).random_raw(count),
-                    thresholds,
-                    states,
-                    signals,
-                    start,
-                    min(start + step, size),
-                )
-            except Exception as exc:  # re-raised on the calling thread
-                errors.append(exc)
+            _fill_signals(
+                seek(0, first + start * n // 4) if start else bits,
+                lambda count: seek(1 + start // step, 0).random_raw(count),
+                thresholds,
+                states,
+                signals,
+                start,
+                min(start + step, size),
+            )
 
     workers = min(_sampling_workers(), -(-size // step))
-    threads = [threading.Thread(target=fill) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
+    if workers == 1:
         fill()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        return states, signals
+    # Imported here: concurrent.futures loads logging, ~10 ms of every package import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(fill) for _ in range(workers - 1)]
+        fill()
+    for helper in helpers:
+        helper.result()
     return states, signals
 
 
@@ -379,23 +385,19 @@ def monte_carlo_accuracy(
     margins summed in row blocks of about 1 MiB, which changes no draw and
     no decision; every sampling thread is joined before the batch is decided.
     """
-    if trials < 1:
-        raise ValueError(f"trials {trials!r} must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed!r} must fit in an unsigned 64-bit integer")
+    _check_integer("trials", trials, 1, inf, "must be a positive integer")
+    _check_integer("seed", seed, 0, 2**64, "must be an unsigned 64-bit integer")
     q_vec = np.array(q.q, dtype=float)
 
     n_correct = 0
     n_tie = 0
-    done = 0
-    for batch_index in range(-(-trials // MONTE_CARLO_BATCH)):
+    for batch_index, done in enumerate(range(0, trials, MONTE_CARLO_BATCH)):
         size = min(MONTE_CARLO_BATCH, trials - done)
         key = np.array([seed, batch_index], dtype=np.uint64)
         states, signals = _sample_signals(key, q_vec, size)
         decisions = agg.decide(q, signals)
         n_correct += int(np.count_nonzero(decisions == np.where(states, 1, -1)))
         n_tie += int(np.count_nonzero(decisions == 0))
-        done += size
 
     value = (n_correct + 0.5 * n_tie) / trials
     second_moment = (n_correct + 0.25 * n_tie) / trials
@@ -405,9 +407,9 @@ def monte_carlo_accuracy(
         method="monte_carlo",
         value=value,
         tie_mass=n_tie / trials,
-        trials=trials,
+        trials=int(trials),
         std_error=sqrt(variance / trials),
-        seed=seed,
+        seed=int(seed),
     )
 
 
@@ -448,6 +450,8 @@ def verify_optimal_weights(
     AssertionError, since the optimality is unconditional and a violation
     can only mean an implementation bug.
     """
+    _check_integer("perturbations", perturbations, 0, inf, "must be a non-negative integer")
+    _check_integer("seed", seed, 0, 2**64, "must be an unsigned 64-bit integer")
     if q.n > VERIFY_MAX_AGENTS:
         raise ValueError(
             f"weight verification supports up to {VERIFY_MAX_AGENTS} agents, got {q.n}"

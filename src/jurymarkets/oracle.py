@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 from sys import float_info
 from typing import Callable
 
@@ -59,8 +59,10 @@ class GridSpec:
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 3:
                 raise ValueError(f"{name} {value!r} must be an integer of at least 3")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance {self.tolerance!r} must be positive")
+        tol = self.tolerance
+        # An infinite tolerance would accept every grid price.
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol <= float_info.max:
+            raise ValueError(f"tolerance {tol!r} must be a finite positive number")
 
 
 def _naive_residual_ranges(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 import threading
 from math import ceil, comb, fsum
@@ -428,15 +429,28 @@ class TestMonteCarlo:
         est = monte_carlo_accuracy(agg, q, 70_001, 9)
         assert est.trials == 70_001
 
-    def test_trials_validation(self):
+    @pytest.mark.parametrize("trials", [0, -3, 1.5, True, "10", None])
+    def test_trials_validation(self, trials):
         q = CompetenceProfile((0.7,))
-        with pytest.raises(ValueError, match="trials"):
-            monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 0, 1)
+        message = f"trials {trials!r} must be a positive integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo_accuracy(majority_aggregator("egalitarian"), q, trials, 1)
 
-    def test_seed_validation(self):
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.int64(-1), "1", None])
+    def test_seed_validation(self, seed):
         q = CompetenceProfile((0.7,))
-        with pytest.raises(ValueError, match="seed"):
-            monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10, -1)
+        message = f"seed {seed!r} must be an unsigned 64-bit integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10, seed)
+
+    def test_numpy_integers_keep_their_streams(self):
+        q = CompetenceProfile((0.7, 0.6, 0.8))
+        agg = majority_aggregator("linear")
+        for seed in (0, 7, 2**64 - 1):
+            want = monte_carlo_accuracy(agg, q, 1000, seed)
+            got = monte_carlo_accuracy(agg, q, np.int64(1000), np.uint64(seed))
+            # The estimate reports plain ints, so it serialises as the int call's does.
+            assert got == want and type(got.trials) is type(got.seed) is int
 
     @pytest.mark.parametrize("field", ["value", "tie_mass"])
     @pytest.mark.parametrize("bad", [-0.25, 1.5, float("nan")])
@@ -584,16 +598,17 @@ class TestThreadedSampling:
         assert monte_carlo_accuracy(agg, q, 70_001, 3) == expected
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("where", ["worker", "caller", "both"])
     def test_a_failed_block_reaches_the_caller(self, monkeypatch, where):
         monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: 3)
         caller = threading.current_thread()
         failed = threading.Event()
 
         def failing_fill(bits, fixups, thresholds, states, signals, start, stop):
-            if (threading.current_thread() is not caller) == (where == "worker"):
+            side = "caller" if threading.current_thread() is caller else "worker"
+            if where in (side, "both"):
                 failed.set()
-                raise RuntimeError(f"planted failure on the {where}")
+                raise RuntimeError(f"planted failure on the {side}")
             # Leave blocks for the side that is to fail.
             assert failed.wait(timeout=30)
             _fill_signals(bits, fixups, thresholds, states, signals, start, stop)
@@ -601,8 +616,31 @@ class TestThreadedSampling:
         monkeypatch.setattr("jurymarkets.accuracy._fill_signals", failing_fill)
         before = threading.active_count()
         q = CompetenceProfile((0.6,) * 101)
-        with pytest.raises(RuntimeError, match=f"planted failure on the {where}"):
+        planted = "(caller|worker)" if where == "both" else where
+        with pytest.raises(RuntimeError, match=f"planted failure on the {planted}"):
             monte_carlo_accuracy(majority_aggregator("egalitarian"), q, 10_000, 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [3, 101])
+    def test_a_one_block_batch_starts_no_thread(self, monkeypatch, n):
+        monkeypatch.setattr("jurymarkets.accuracy._sampling_workers", lambda: 3)
+        counts = []
+
+        def counting_fill(*args):
+            counts.append((threading.get_ident(), threading.active_count()))
+            _fill_signals(*args)
+
+        monkeypatch.setattr("jurymarkets.accuracy._fill_signals", counting_fill)
+        before = threading.active_count()
+        q_vec = np.full(n, 0.6)
+        for size in (1, _block_rows(n)):
+            counts.clear()
+            _sample_signals(batch_key(5), q_vec, size)
+            assert counts == [(threading.get_ident(), before)], (n, size)
+        # Two blocks do start a helper thread.
+        counts.clear()
+        _sample_signals(batch_key(5), q_vec, _block_rows(n) + 1)
+        assert len(counts) == 2 and max(count for _, count in counts) > before
         assert threading.active_count() == before
 
 
@@ -647,3 +685,31 @@ class TestVerifyOptimalWeights:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             WeightProfile(())
+
+    @pytest.mark.parametrize("weights", [[1, 2], (0.5, 0.5), None])
+    def test_fixed_weights_need_a_weight_profile(self, weights):
+        message = f"weights {weights!r} must be a WeightProfile"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fixed_weights_aggregator("x", weights)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": 1.5}, "seed 1.5 must be an unsigned 64-bit integer"),
+            ({"seed": -1}, "seed -1 must be an unsigned 64-bit integer"),
+            ({"seed": 2**64}, f"seed {2**64} must be an unsigned 64-bit integer"),
+            ({"seed": True}, "seed True must be an unsigned 64-bit integer"),
+            ({"perturbations": 2.5}, "perturbations 2.5 must be a non-negative integer"),
+            ({"perturbations": -1}, "perturbations -1 must be a non-negative integer"),
+            ({"perturbations": True}, "perturbations True must be a non-negative integer"),
+        ],
+    )
+    def test_verification_arguments_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_optimal_weights(CompetenceProfile((0.7, 0.6)), **kwargs)
+
+    def test_numpy_seed_keeps_its_directions(self):
+        q = CompetenceProfile((0.9, 0.7, 0.6))
+        want = verify_optimal_weights(q, perturbations=4, seed=2**64 - 1)
+        assert verify_optimal_weights(q, np.int64(4), np.uint64(2**64 - 1)) == want
+        assert verify_optimal_weights(q, perturbations=0).random == ()

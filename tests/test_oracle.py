@@ -47,6 +47,10 @@ class TestGridSpec:
             {"strategy_resolution": 1},
             {"tolerance": 0.0},
             {"tolerance": -1e-9},
+            {"tolerance": "1e-6"},
+            {"tolerance": True},
+            {"tolerance": float("inf")},
+            {"tolerance": float("nan")},
             {"resolution": 10.5},
             {"strategy_resolution": 7.5},
         ],
